@@ -24,8 +24,7 @@ from clonebound.pauli import pauli_decompose
 
 
 def report(tag, params):
-    t = params.as_matrix() if isinstance(params, ClonerParams) else params.t
-    cov = covariance_constraint_residual(t)
+    cov = covariance_constraint_residual(params.as_matrix())
     sig = max(no_signaling_residual(params, a, b) for a, b in CANONICAL_AXIS_PAIRS)
     print(f"{tag}:")
     print(f"  structure residual    = {cov:.3e}")

@@ -1,8 +1,8 @@
 """Quick tour of the two-qubit Pauli toolkit.
 
 Decomposes a couple of familiar states into Pauli coefficients, round
-trips them, and checks the closed-form eigensolver against the obvious
-numpy call.
+trips them, and shows that a two-sided rotation leaves their spectra
+alone.
 """
 
 import sys

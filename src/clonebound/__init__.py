@@ -5,143 +5,26 @@ covariance / opposite-mixture / positivity constraints, maximizes the
 shrink factor over the feasible set (closed form and brute-force grid),
 realizes the saturating universal cloner as an explicit isometry, and
 simulates the remote axis-guessing experiment that a constraint
-violator would enable.
+violator would enable.  Everything else is imported from its module
+(`clonebound.family`, `clonebound.pauli`, ...).
 """
 
-from .bounds import (
-    BoundResult,
-    FEASIBILITY_TOL,
-    feasible,
-    fidelity_bound,
-    max_eta_closed_form,
-    max_eta_grid,
-)
-from .buzek_hillery import bh_clone, bh_family_point, bh_isometry
-from .errors import (
-    CloneBoundError,
-    InvalidBlochError,
-    InvalidResolutionError,
-    InvalidStateError,
-    NotHermitianError,
-    NotInFamilyError,
-    RequiresPureInputError,
-)
-from .family import (
-    CANONICAL_AXIS_PAIRS,
-    ClonerParams,
-    GeneralClonerParams,
-    PositivityEigenvalues,
-    axial_covariance_residual,
-    clone_fidelity,
-    covariance_constraint_residual,
-    embed,
-    general_output_state,
-    no_signaling_residual,
-    output_state,
-    output_state_z,
-    positivity_eigenvalues,
-    rotate_output,
-    rotation_taking_z_to,
-    template_state_z,
-)
-from .pauli import (
-    ALGEBRA_TOL,
-    IDENTITY,
-    SIGMA,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    STATE_TOL,
-    PauliCoefficients,
-    bloch_rotation_matrix,
-    bloch_to_density,
-    density_to_bloch,
-    hermitian_eigenvalues4,
-    overlap_fidelity,
-    partial_trace,
-    pauli_decompose,
-    pauli_matrix,
-    pauli_reconstruct,
-    random_rotation,
-    su2_rotation,
-    tensor,
-    trace_distance,
-)
-from .signaling import (
-    PHYSICALITY_TOL,
-    RemoteEnsemble,
-    SignalReport,
-    averaged_clone_output,
-    helstrom_projector,
-    monte_carlo_signal,
-    remote_mixture,
-    signaling_advantage,
-    singlet,
-)
+from .bounds import max_eta_closed_form
+from .buzek_hillery import bh_clone
+from .errors import CloneBoundError
+from .family import ClonerParams, no_signaling_residual, positivity_eigenvalues
+from .pauli import bloch_to_density
+from .signaling import monte_carlo_signal
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGEBRA_TOL",
-    "BoundResult",
-    "CANONICAL_AXIS_PAIRS",
     "CloneBoundError",
     "ClonerParams",
-    "FEASIBILITY_TOL",
-    "GeneralClonerParams",
-    "IDENTITY",
-    "InvalidBlochError",
-    "InvalidResolutionError",
-    "InvalidStateError",
-    "NotHermitianError",
-    "NotInFamilyError",
-    "PHYSICALITY_TOL",
-    "PauliCoefficients",
-    "PositivityEigenvalues",
-    "RemoteEnsemble",
-    "RequiresPureInputError",
-    "SIGMA",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "STATE_TOL",
-    "SignalReport",
-    "averaged_clone_output",
-    "axial_covariance_residual",
     "bh_clone",
-    "bh_family_point",
-    "bh_isometry",
-    "bloch_rotation_matrix",
     "bloch_to_density",
-    "clone_fidelity",
-    "covariance_constraint_residual",
-    "density_to_bloch",
-    "embed",
-    "feasible",
-    "fidelity_bound",
-    "general_output_state",
-    "helstrom_projector",
-    "hermitian_eigenvalues4",
     "max_eta_closed_form",
-    "max_eta_grid",
     "monte_carlo_signal",
     "no_signaling_residual",
-    "output_state",
-    "output_state_z",
-    "overlap_fidelity",
-    "partial_trace",
-    "pauli_decompose",
-    "pauli_matrix",
-    "pauli_reconstruct",
     "positivity_eigenvalues",
-    "random_rotation",
-    "remote_mixture",
-    "rotate_output",
-    "rotation_taking_z_to",
-    "signaling_advantage",
-    "singlet",
-    "su2_rotation",
-    "template_state_z",
-    "tensor",
-    "trace_distance",
 ]

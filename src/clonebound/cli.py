@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -35,13 +33,13 @@ from .bounds import (
     max_eta_grid,
 )
 from .buzek_hillery import bh_clone
-from .errors import CloneBoundError
 from .family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
     axial_covariance_residual,
     covariance_constraint_residual,
+    min_output_eigenvalue,
     no_signaling_residual,
     positivity_eigenvalues,
     template_state_z,
@@ -49,13 +47,12 @@ from .family import (
 from .pauli import (
     STATE_TOL,
     bloch_to_density,
-    hermitian_eigenvalues4,
     overlap_fidelity,
     partial_trace,
     pauli_decompose,
 )
 from .serialize import complex_matrix_to_json, csv_lines, dump_json
-from .signaling import monte_carlo_signal, signaling_advantage
+from .signaling import monte_carlo_signal
 
 #: residuals below this pass the verify suite
 RESIDUAL_THRESHOLD = 1e-9
@@ -91,24 +88,8 @@ DEFAULTS = {
 }
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: which subcommand with which effective values."""
-
-    subcommand: str
-    params: object = None
-    axes: Optional[tuple] = None
-    input_bloch: Optional[np.ndarray] = None
-    shots: int = 0
-    seed: int = 0
-    resolution: int = 0
-    method: str = ""
-    output_format: str = "json"
-    output_path: Optional[str] = None
 
 
 def _number(text: str) -> float:
@@ -155,21 +136,14 @@ def _params_report_fields(params) -> dict:
     return {"eta": params.eta, "t_matrix": [list(map(float, r)) for r in params.t]}
 
 
-def _min_output_eigenvalue(params) -> float:
-    if isinstance(params, ClonerParams):
-        return positivity_eigenvalues(params).min()
-    return float(np.min(hermitian_eigenvalues4(template_state_z(params))))
-
-
 def _cmd_verify(args):
     params = _params_from_args(args)
-    tmat = params.as_matrix() if isinstance(params, ClonerParams) else params.t
-    covariance = covariance_constraint_residual(tmat)
+    covariance = covariance_constraint_residual(params.as_matrix())
     axial = axial_covariance_residual(template_state_z(params), (0.0, 0.0, 1.0))
     no_signal = max(
         no_signaling_residual(params, a, b) for a, b in CANONICAL_AXIS_PAIRS
     )
-    min_eig = _min_output_eigenvalue(params)
+    min_eig = min_output_eigenvalue(params)
     checks = {
         "covariance_ok": covariance < RESIDUAL_THRESHOLD,
         "axial_ok": axial < RESIDUAL_THRESHOLD,
@@ -386,13 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status, text = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CloneBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # _UsageError and CloneBoundError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out is None:

@@ -13,14 +13,20 @@ cross terms; demanding that opposite-axis mixtures be indistinguishable
 further forces t_zz = t_xx = t_yy.  `ClonerParams` is that constrained
 family, parameterized by (eta, t, t_xy).
 
-Unless stated otherwise the output for a general direction m is defined
-by rotating the z-frame template with the fixed zhat -> m rotation
-(`rotate_output`), i.e. the correlation matrix co-rotates with the
-input direction, which is what universality means operationally.
+The output for a direction m is built in the Pauli frame: with R the
+minimal-geodesic SO(3) rotation taking zhat to m (`bloch_rotation_z_to`),
+both marginals point along eta*m and the correlation matrix is R t R^T,
+i.e. it co-rotates with the input direction, which is what universality
+means operationally.  Every output is therefore a U (x) U conjugate of
+the z-frame template and shares its spectrum.  `output_state_z`,
+`rotation_taking_z_to` and `rotate_output` build the same states by
+writing the z-frame matrix out and conjugating it in SU(2); they are
+kept as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +34,18 @@ import numpy as np
 from .errors import InvalidBlochError
 from .pauli import (
     ALGEBRA_TOL,
+    BASIS,
     IDENTITY,
     SIGMA,
     STATE_TOL,
-    bloch_rotation_matrix,
+    hermitian_eigenvalues4,
     su2_rotation,
     tensor,
     trace_distance,
 )
+
+#: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
+_BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
 
 #: axis pairs used by default when probing the opposite-mixture identity
 CANONICAL_AXIS_PAIRS = (
@@ -105,6 +115,10 @@ class GeneralClonerParams:
         mat.flags.writeable = False
         object.__setattr__(self, "t", mat)
 
+    def as_matrix(self) -> np.ndarray:
+        """The 3x3 correlation matrix in the z frame (read-only)."""
+        return self.t
+
     def to_json_dict(self) -> dict:
         return {"eta": self.eta, "t": [[float(v) for v in row] for row in self.t]}
 
@@ -137,26 +151,6 @@ def _require_unit_axis(m, what="direction"):
     if abs(norm - 1.0) > STATE_TOL:
         raise InvalidBlochError(f"{what} must be unit length, |m| = {norm}")
     return vec
-
-
-def general_output_state(params, m) -> np.ndarray:
-    """Literal family output for direction m with the t-matrix as given.
-
-    The eta terms point along m while the correlation matrix stays in
-    the lab frame; no rotation is applied to it.  `ClonerParams` inputs
-    use their z-frame matrix.
-    """
-    vec = _require_unit_axis(m)
-    tmat = params.as_matrix() if isinstance(params, ClonerParams) else params.t
-    ms = vec[0] * SIGMA[0] + vec[1] * SIGMA[1] + vec[2] * SIGMA[2]
-    out = tensor(IDENTITY, IDENTITY) + params.eta * (
-        tensor(ms, IDENTITY) + tensor(IDENTITY, ms)
-    )
-    for j in range(3):
-        for k in range(3):
-            if tmat[j, k] != 0.0:
-                out = out + tmat[j, k] * tensor(SIGMA[j], SIGMA[k])
-    return out / 4.0
 
 
 def output_state_z(params: ClonerParams) -> np.ndarray:
@@ -204,27 +198,65 @@ def rotate_output(rho_z, m) -> np.ndarray:
     return w @ arr @ w.conj().T
 
 
-def template_state_z(params) -> np.ndarray:
-    """The z-frame template state of either parameter type."""
-    if isinstance(params, ClonerParams):
-        return output_state_z(params)
-    return general_output_state(params, (0.0, 0.0, 1.0))
+def bloch_rotation_z_to(m) -> np.ndarray:
+    """The SO(3) rotation taking zhat to the unit vector m (minimal geodesic).
+
+    Rodrigues' formula about zhat x m, written in the entries of m:
+
+        R = [[1 - f m_x^2,  -f m_x m_y,   m_x],
+             [-f m_x m_y,   1 - f m_y^2,  m_y],
+             [-m_x,         -m_y,         m_z]],   f = (1 - m_z)/(m_x^2 + m_y^2).
+
+    f equals 1/(1 + m_z) for unit m but stays accurate next to -zhat,
+    where 1 + m_z cancels.  Same convention as `rotation_taking_z_to`:
+    m = zhat gives the identity, m = -zhat a half turn about xhat.
+    """
+    x, y, z = (float(v) for v in _require_unit_axis(m))
+    norm = math.sqrt(x * x + y * y + z * z)
+    x, y, z = x / norm, y / norm, z / norm
+    rho2 = x * x + y * y
+    if rho2 < STATE_TOL * STATE_TOL:
+        return np.eye(3) if z > 0.0 else np.diag([1.0, -1.0, -1.0])
+    f = (1.0 - z) / rho2
+    return np.array([
+        [1.0 - f * x * x, -f * x * y, x],
+        [-f * x * y, 1.0 - f * y * y, y],
+        [-x, -y, z],
+    ])
 
 
 def output_state(params, m) -> np.ndarray:
-    """Family output for direction m with the co-rotating correlation matrix."""
-    return rotate_output(template_state_z(params), m)
+    """Family output for direction m with the co-rotating correlation matrix.
 
+    (1/4)(I + eta (m.sigma (x) I + I (x) m.sigma)
+          + sum_jk (R t R^T)_jk sigma_j (x) sigma_k),  R = bloch_rotation_z_to(m).
 
-def embed(params: ClonerParams, m=(0.0, 0.0, 1.0)) -> GeneralClonerParams:
-    """Express a constrained point as general parameters in the frame of m.
-
-    The correlation matrix is conjugated by the zhat -> m rotation, so
-    general_output_state(embed(p, m), m) equals
-    rotate_output(output_state_z(p), m).
+    The marginals use R zhat, the normalized m.  The Bloch part is added
+    to the identity before the correlation part, the order the z-frame
+    closed form uses, so that at m = zhat the result matches
+    `output_state_z` bit for bit.
     """
-    rot = bloch_rotation_matrix(rotation_taking_z_to(m))
-    return GeneralClonerParams(eta=params.eta, t=rot @ params.as_matrix() @ rot.T)
+    rot = bloch_rotation_z_to(m)
+    bloch = BASIS[0, 0] + params.eta * np.einsum("j,jab->ab", rot[:, 2], _BLOCH_PAIR)
+    corr = rot @ params.as_matrix() @ rot.T
+    return (bloch + np.einsum("jk,jkab->ab", corr, BASIS[1:, 1:])) / 4.0
+
+
+def template_state_z(params) -> np.ndarray:
+    """The z-frame template state of either parameter type."""
+    return output_state(params, (0.0, 0.0, 1.0))
+
+
+def min_output_eigenvalue(params) -> float:
+    """Lowest eigenvalue shared by every output of a family point.
+
+    All outputs are U (x) U conjugates of the z template, so its
+    spectrum decides positivity for every direction; constrained points
+    use the closed form.
+    """
+    if isinstance(params, ClonerParams):
+        return positivity_eigenvalues(params).min()
+    return float(hermitian_eigenvalues4(template_state_z(params))[-1])
 
 
 def axial_covariance_residual(rho, m, n_angles: int = 32) -> float:
@@ -273,17 +305,15 @@ def no_signaling_residual(params, axis_a, axis_b) -> float:
     """Distinguishability of the two opposite-outcome output sums.
 
     Builds rho_out(+a) + rho_out(-a) and rho_out(+b) + rho_out(-b)
-    (each output by `output_state`, i.e. the rotated template) and
-    returns the trace distance between the two sums.  For diagonal
-    correlation matrices and axes (zhat, xhat) this equals
-    |t_zz - t_xx|; it vanishes for every constrained family point and
-    every axis pair.
+    (each output by `output_state`) and returns the trace distance
+    between the two sums.  For diagonal correlation matrices and axes
+    (zhat, xhat) this equals |t_zz - t_xx|; it vanishes for every
+    constrained family point and every axis pair.
     """
     a = _require_unit_axis(axis_a, "axis_a")
     b = _require_unit_axis(axis_b, "axis_b")
-    template = template_state_z(params)
-    side_a = rotate_output(template, a) + rotate_output(template, -a)
-    side_b = rotate_output(template, b) + rotate_output(template, -b)
+    side_a = output_state(params, a) + output_state(params, -a)
+    side_b = output_state(params, b) + output_state(params, -b)
     return trace_distance(side_a, side_b)
 
 

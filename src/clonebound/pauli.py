@@ -17,9 +17,10 @@ Conventions used everywhere in this package:
   unit-trace input).  The lab-frame correlation matrix Tr(rho sigma_j
   (x) sigma_k) is therefore 4*t, exposed as a property.
 
-The eigensolver is a self-contained cyclic complex Jacobi iteration; at
-size 4x4 it converges in a handful of sweeps and keeps this module free
-of any LAPACK dependency in the verification path.
+`BASIS[j, k]` holds sigma_j (x) sigma_k (index 0 the identity); building
+a matrix from its coefficient table and reading the table back are each
+one `einsum` against it.  Spectra come from LAPACK through
+`np.linalg.eigvalsh`, which stays accurate at any scale.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_BY_LABEL = {"I": IDENTITY, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 _PAULI_BY_INDEX = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_TOL = 1e-14
+#: BASIS[j, k] = sigma_j (x) sigma_k for j, k in 0..3, index 0 the identity
+BASIS = np.array([[np.kron(pj, pk) for pk in _PAULI_BY_INDEX] for pj in _PAULI_BY_INDEX])
+BASIS.flags.writeable = False
 
 
 def pauli_matrix(which):
@@ -174,11 +176,9 @@ def pauli_decompose(rho) -> PauliCoefficients:
     they are checked and discarded.
     """
     arr = _require_hermitian(rho, 4, "two-qubit matrix")
-    table = np.empty((4, 4))
-    for j, pj in enumerate(_PAULI_BY_INDEX):
-        for k, pk in enumerate(_PAULI_BY_INDEX):
-            coeff = np.trace(arr @ tensor(pj, pk)) / 4.0
-            table[j, k] = coeff.real
+    # diagonal of rho @ BASIS[j, k], summed over a the same way np.trace
+    # sums it, so the coefficients do not depend on einsum's summation order
+    table = np.einsum("ab,jkba->jka", arr, BASIS).sum(axis=-1).real / 4.0
     return PauliCoefficients(
         c00=float(table[0, 0]),
         a=table[1:, 0].copy(),
@@ -189,13 +189,12 @@ def pauli_decompose(rho) -> PauliCoefficients:
 
 def pauli_reconstruct(coeffs: PauliCoefficients) -> np.ndarray:
     """Rebuild the 4x4 matrix from its Pauli coefficients (inverse of decompose)."""
-    out = coeffs.c00 * tensor(IDENTITY, IDENTITY)
-    for j in range(3):
-        out = out + coeffs.a[j] * tensor(SIGMA[j], IDENTITY)
-        out = out + coeffs.b[j] * tensor(IDENTITY, SIGMA[j])
-        for k in range(3):
-            out = out + coeffs.t[j, k] * tensor(SIGMA[j], SIGMA[k])
-    return out
+    table = np.empty((4, 4))
+    table[0, 0] = coeffs.c00
+    table[1:, 0] = coeffs.a
+    table[0, 1:] = coeffs.b
+    table[1:, 1:] = coeffs.t
+    return np.einsum("jk,jkab->ab", table, BASIS)
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:
@@ -214,53 +213,10 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 1 or 2, got {keep!r}")
 
 
-def _jacobi_rotate(a, p, q):
-    """Zero the (p, q) off-diagonal entry of Hermitian `a` in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if tau >= 0.0:
-        tan = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        tan = -1.0 / (-tau + np.hypot(1.0, tau))
-    cos = 1.0 / np.hypot(1.0, tan)
-    sin = tan * cos
-    # plane rotation mixed with the phase of the zeroed entry
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = cos * col_p - sin * phase.conjugate() * col_q
-    a[:, q] = sin * phase * col_p + cos * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = cos * row_p - sin * phase * row_q
-    a[q, :] = sin * phase.conjugate() * row_p + cos * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-
-def _off_diagonal_norm(a):
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eigenvalues4(m) -> np.ndarray:
-    """Eigenvalues of a 4x4 Hermitian matrix, descending.
-
-    Cyclic complex Jacobi sweeps; stops once the off-diagonal Frobenius
-    norm drops below 1e-14 (at most 100 sweeps, far more than needed).
-    """
+    """Eigenvalues of a 4x4 Hermitian matrix, descending."""
     arr = _require_hermitian(m, 4, "matrix")
-    work = (arr + arr.conj().T) / 2.0
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(work) < _JACOBI_OFF_TOL:
-            break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                _jacobi_rotate(work, p, q)
-    return np.sort(np.diag(work).real)[::-1]
+    return np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[::-1]
 
 
 def overlap_fidelity(rho_in, clone) -> float:

@@ -63,12 +63,6 @@ def complex_matrix_to_json(matrix) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
 
 
-def complex_matrix_from_json(data) -> np.ndarray:
-    """Inverse of complex_matrix_to_json."""
-    rows = [[complex(re, im) for re, im in row] for row in data]
-    return np.array(rows, dtype=complex)
-
-
 def csv_cell(value) -> str:
     """Single CSV cell: floats at 9 significant digits, ints and flags as-is."""
     if isinstance(value, (bool, np.bool_)):

@@ -12,20 +12,22 @@ the sums differ and the module quantifies by how much:
 
 * `signaling_advantage` reports the trace distance D between the two
   sums together with the induced best single-shot guessing rate,
-  min(1, 1/2 + D/2);
+  1/2 + D/4 (Helstrom's rate for Bob's averaged states, whose trace
+  distance is D/2; D <= 2 keeps it at most 1);
 * `monte_carlo_signal` plays the finite-statistics game with a seeded
   generator: each round draws Alice's axis uniformly from {a, b} and
-  her outcome sign fairly, then scores Bob's optimal-measurement guess
-  as a Bernoulli trial at the reported guessing rate.  The estimate is
-  therefore unbiased for `helstrom_probability` and its standard error
-  is at most 1/(2 sqrt(shots)).
+  her outcome sign fairly, then measures Bob's clone pair with the
+  Helstrom measurement {Pi, 1 - Pi} by the Born rule and guesses a on
+  outcome Pi.  The estimate is an independent check on
+  `helstrom_probability` and its standard error is at most
+  1/(2 sqrt(shots)).
 
 The hypothetical cloner is applied per preparation (each ensemble
 component mapped through the family state for its direction).  That is
 deliberate: parameter choices violating positivity admit no completed
 physical channel, and the per-preparation map is exactly the device the
-no-signaling argument interrogates.  Parameters whose sampled outputs
-have eigenvalues below -1e-9 are flagged as non-physical and the Monte
+no-signaling argument interrogates.  Parameters whose outputs have
+eigenvalues below -1e-9 are flagged as non-physical and the Monte
 Carlo branch is skipped; tiny negative eigenvalues above that cutoff
 count as round-off and are tolerated.
 """
@@ -39,13 +41,16 @@ import numpy as np
 
 from .family import (
     _require_unit_axis,
+    min_output_eigenvalue,
     no_signaling_residual,
     output_state,
 )
-from .pauli import bloch_to_density, hermitian_eigenvalues4
+from .pauli import bloch_to_density
 
 #: eigenvalues below this are genuine positivity violations, not round-off
 PHYSICALITY_TOL = -1e-9
+#: Monte Carlo rounds drawn at a time, so memory stays fixed for any shot count
+MC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,9 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
 
     `trace_distance` is computed between the two opposite-outcome sums
     (so for diagonal correlation matrices and axes (zhat, xhat) it
-    equals |t_zz - t_xx|); the guessing rate is capped at 1.
+    equals |t_zz - t_xx|); the guessing rate is 1/2 + D/4.
+    `physical` asks whether the outputs' shared spectrum stays above
+    the round-off cutoff.
     """
     a = _require_unit_axis(axis_a, "axis_a")
     b = _require_unit_axis(axis_b, "axis_b")
@@ -114,19 +121,9 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
         axis_a=a,
         axis_b=b,
         trace_distance=dist,
-        helstrom_probability=min(1.0, 0.5 + dist / 2.0),
-        physical=_is_physical(params, a, b),
+        helstrom_probability=0.5 + dist / 4.0,
+        physical=min_output_eigenvalue(params) >= PHYSICALITY_TOL,
     )
-
-
-def _is_physical(params, axis_a, axis_b) -> bool:
-    """Do all four sampled outputs have spectra above the round-off cutoff?"""
-    for axis in (axis_a, axis_b):
-        for sign in (1.0, -1.0):
-            state = output_state(params, sign * np.asarray(axis, dtype=float))
-            if float(np.min(hermitian_eigenvalues4(state))) < PHYSICALITY_TOL:
-                return False
-    return True
 
 
 def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalReport:
@@ -134,11 +131,13 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
 
     Rounds are simulated with numpy's default generator (PCG64) seeded
     once; identical (seed, shots) reproduce the transcript bit for bit.
-    Per round: Alice's axis is drawn uniformly from {a, b}, her outcome
-    sign fairly, and Bob's guess is scored correct with the optimal
-    single-shot probability implied by the reported trace distance.
+    Per round: Alice's axis is drawn uniformly from {a, b} and her
+    outcome sign fairly, which fixes the output Bob holds; his Helstrom
+    measurement then gives outcome Pi with probability Tr(Pi rho), and
+    he guesses a on Pi and b otherwise.  Rounds are drawn MC_CHUNK at a
+    time.
 
-    Non-physical parameters (sampled output eigenvalue below -1e-9)
+    Non-physical parameters (output eigenvalue below -1e-9)
     return the analytic report with `physical` False and no Monte-Carlo
     fields.
     """
@@ -157,19 +156,27 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
             seed=int(seed),
             physical=False,
         )
+    a, b = report.axis_a, report.axis_b
+    projector = helstrom_projector(params, a, b)
+    # probability of outcome Pi for each preparation 2 * axis + sign,
+    # axis 0 = a and sign 0 = +
+    outcome_pi = np.clip(
+        [np.trace(projector @ output_state(params, m)).real for m in (a, -a, b, -b)],
+        0.0, 1.0,
+    )
     rng = np.random.default_rng(int(seed))
-    # the drawn axes and outcome signs fix which state Bob holds each
-    # round; the guess scoring only needs the success rate, so the
-    # draws stay in the transcript for reproducibility
-    rng.integers(0, 2, size=shots)  # axis choices
-    rng.integers(0, 2, size=shots)  # outcome signs
-    correct = rng.random(shots) < report.helstrom_probability
+    correct = 0
+    for start in range(0, shots, MC_CHUNK):
+        n = min(MC_CHUNK, shots - start)
+        prepared = rng.integers(0, 4, size=n, dtype=np.uint8)
+        saw_pi = rng.random(n) < outcome_pi[prepared]
+        correct += int(np.count_nonzero(saw_pi == (prepared < 2)))
     return SignalReport(
         axis_a=report.axis_a,
         axis_b=report.axis_b,
         trace_distance=report.trace_distance,
         helstrom_probability=report.helstrom_probability,
-        mc_estimate=float(np.mean(correct)),
+        mc_estimate=correct / shots,
         mc_shots=shots,
         seed=int(seed),
         physical=True,

@@ -35,7 +35,11 @@ from clonebound.pauli import (
     random_rotation,
     tensor,
 )
-from clonebound.signaling import averaged_clone_output, monte_carlo_signal
+from clonebound.signaling import (
+    averaged_clone_output,
+    helstrom_projector,
+    monte_carlo_signal,
+)
 
 OPTIMUM = ClonerParams(eta=2 / 3, t=1 / 3, t_xy=0.0)
 
@@ -126,13 +130,16 @@ def test_criterion_4_family_never_signals():
 
 
 def test_criterion_5_violators_signal():
-    """t = diag(0,0,1/3) at axes (z, x): D = 1/3 analytic and Monte Carlo."""
+    """t = diag(0,0,1/3) at axes (z, x): D = 1/3, guessing rate 7/12, Monte Carlo."""
     start = time.perf_counter()
     violator = GeneralClonerParams(eta=0.0, t=np.diag([0.0, 0.0, 1 / 3]))
     z, x = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
     # independent oracle: brute-force spectrum of the summed-output difference
     diff = 2.0 * (averaged_clone_output(violator, z) - averaged_clone_output(violator, x))
     oracle = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    # the rate the Helstrom measurement reaches on the averaged outputs
+    projector = helstrom_projector(violator, z, x)
+    rate = 0.5 + 0.25 * float(np.trace(projector @ diff).real)
     shots = 100_000
     report = monte_carlo_signal(violator, z, x, shots=shots, seed=20240)
     mc_tol = 3.0 / (2.0 * np.sqrt(shots))
@@ -140,14 +147,17 @@ def test_criterion_5_violators_signal():
     ok = (
         abs(report.trace_distance - 1 / 3) < 1e-12
         and abs(oracle - 1 / 3) < 1e-12
-        and abs(report.mc_estimate - 2 / 3) < mc_tol
+        and abs(rate - 7 / 12) < 1e-12
+        and abs(report.helstrom_probability - rate) < 1e-12
+        and abs(report.mc_estimate - rate) < mc_tol
         and elapsed < 30.0
     )
     verdict(
         5,
         f"analytic D {report.trace_distance:.15f} vs oracle {oracle:.15f} "
-        f"(tol 1e-12), MC {report.mc_estimate:.5f} vs 2/3 (tol {mc_tol:.5f}), "
-        f"{elapsed:.2f}s < 30s",
+        f"(tol 1e-12), rate {report.helstrom_probability:.15f} vs projector "
+        f"{rate:.15f} = 7/12 (tol 1e-12), MC {report.mc_estimate:.5f} "
+        f"(tol {mc_tol:.5f}), {elapsed:.2f}s < 30s",
         ok,
     )
 

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from clonebound import cli
+from clonebound.family import GeneralClonerParams
 from clonebound.serialize import dump_json
+from clonebound.signaling import averaged_clone_output, helstrom_projector
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -172,8 +174,14 @@ class TestSignal:
         assert status == 0
         report = json.loads(out)
         assert report["trace_distance"] == pytest.approx(1 / 3, abs=1e-12)
-        assert report["helstrom_probability"] == pytest.approx(2 / 3, abs=1e-12)
-        assert abs(report["mc_estimate"] - 2 / 3) < 3 / (2 * np.sqrt(100000))
+        # the Helstrom measurement's rate on --t_diag 0,0,1/3, which is 7/12
+        violator = GeneralClonerParams(eta=0.0, t=np.diag([0.0, 0.0, 1 / 3]))
+        z, x = (0, 0, 1), (1, 0, 0)
+        diff = averaged_clone_output(violator, z) - averaged_clone_output(violator, x)
+        rate = 0.5 + 0.5 * np.trace(helstrom_projector(violator, z, x) @ diff).real
+        assert rate == pytest.approx(7 / 12, abs=1e-12)
+        assert report["helstrom_probability"] == pytest.approx(rate, abs=1e-12)
+        assert abs(report["mc_estimate"] - rate) < 3 / (2 * np.sqrt(100000))
 
     def test_non_physical_point_reports_without_sampling(self, capsys):
         status, out, _ = run(

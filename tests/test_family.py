@@ -7,10 +7,9 @@ from clonebound.family import (
     ClonerParams,
     GeneralClonerParams,
     axial_covariance_residual,
+    bloch_rotation_z_to,
     clone_fidelity,
     covariance_constraint_residual,
-    embed,
-    general_output_state,
     no_signaling_residual,
     output_state,
     output_state_z,
@@ -39,6 +38,15 @@ def random_params(rng):
 def random_axis(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+#: axes the rotation tests take besides the seeded random ones
+EDGE_AXES = {
+    "plus_z": np.array([0.0, 0.0, 1.0]),
+    "minus_z": np.array([0.0, 0.0, -1.0]),
+    # |m + z| ~ 5e-7: sin of the turn is tiny and 1 + m_z cancels
+    "near_minus_z": np.array([3e-7, -4e-7, -1.0]) / np.linalg.norm([3e-7, -4e-7, -1.0]),
+}
 
 
 class TestParamTypes:
@@ -124,21 +132,12 @@ class TestOutputStates:
                 density_to_bloch(r1), [0.0, 0.0, p.eta], atol=1e-12
             )
 
-    def test_general_equals_z_form_on_z_axis(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            p = random_params(rng)
-            general = GeneralClonerParams(eta=p.eta, t=p.as_matrix())
-            np.testing.assert_allclose(
-                general_output_state(general, (0, 0, 1)), output_state_z(p), atol=1e-15
-            )
-
     def test_general_rejects_non_unit_direction(self):
         p = GeneralClonerParams(eta=0.0, t=np.zeros((3, 3)))
         with pytest.raises(InvalidBlochError):
-            general_output_state(p, (0, 0, 0.5))
+            output_state(p, (0, 0, 0.5))
         with pytest.raises(InvalidBlochError):
-            general_output_state(p, (0.0, 0.0, 0.0))
+            output_state(p, (0.0, 0.0, 0.0))
 
     def test_general_partial_traces_along_m(self):
         rng = np.random.default_rng(20)
@@ -146,7 +145,7 @@ class TestOutputStates:
             t = rng.uniform(-0.3, 0.3, size=(3, 3))
             p = GeneralClonerParams(eta=rng.uniform(-1, 1), t=t)
             m = random_axis(rng)
-            state = general_output_state(p, m)
+            state = output_state(p, m)
             for keep in (1, 2):
                 np.testing.assert_allclose(
                     density_to_bloch(partial_trace(state, keep)), p.eta * m, atol=1e-12
@@ -156,16 +155,31 @@ class TestOutputStates:
 class TestRotation:
     def test_z_to_z_is_identity(self):
         np.testing.assert_allclose(rotation_taking_z_to((0, 0, 1)), np.eye(2))
+        np.testing.assert_array_equal(bloch_rotation_z_to((0, 0, 1)), np.eye(3))
 
     def test_z_to_minus_z_is_pi_about_x(self):
         u = rotation_taking_z_to((0, 0, -1))
         np.testing.assert_allclose(u, -1j * SIGMA_X, atol=1e-15)
+        np.testing.assert_array_equal(
+            bloch_rotation_z_to((0, 0, -1)), np.diag([1.0, -1.0, -1.0])
+        )
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", [*range(20), *EDGE_AXES])
     def test_maps_z_to_target(self, seed):
-        m = random_axis(np.random.default_rng(seed))
-        r = bloch_rotation_matrix(rotation_taking_z_to(m))
-        np.testing.assert_allclose(r @ [0, 0, 1], m, atol=1e-12)
+        if seed in EDGE_AXES:
+            m = EDGE_AXES[seed]
+        else:
+            m = random_axis(np.random.default_rng(seed))
+        rot = bloch_rotation_z_to(m)
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-14)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(rot @ [0, 0, 1], m, atol=1e-15)
+        if seed != "near_minus_z":
+            # the SU(2) reference takes its turn angle from arccos(m_z),
+            # which next to -z resolves it only to ~1e-16 / |m_xy|
+            r = bloch_rotation_matrix(rotation_taking_z_to(m))
+            np.testing.assert_allclose(r @ [0, 0, 1], m, atol=1e-12)
+            np.testing.assert_allclose(rot, r, atol=1e-12)
 
     def test_rotate_output_preserves_spectrum(self):
         rng = np.random.default_rng(25)
@@ -192,18 +206,13 @@ class TestRotation:
                 density_to_bloch(partial_trace(rotated, 2)), p.eta * m, atol=1e-12
             )
 
-    def test_rotation_consistent_with_embedded_params(self):
+    def test_rotation_consistent_with_pauli_frame_output(self):
         rng = np.random.default_rng(27)
         for _ in range(200):
             p = random_params(rng)
             m = random_axis(rng)
             via_rotation = rotate_output(output_state_z(p), m)
-            via_embedding = general_output_state(embed(p, m), m)
-            np.testing.assert_allclose(via_rotation, via_embedding, atol=1e-12)
-
-    def test_embed_default_axis_is_z(self):
-        p = ClonerParams(eta=0.4, t=0.2, t_xy=-0.1)
-        np.testing.assert_allclose(embed(p).t, p.as_matrix(), atol=1e-15)
+            np.testing.assert_allclose(via_rotation, output_state(p, m), atol=1e-12)
 
 
 class TestAxialCovariance:
@@ -227,7 +236,7 @@ class TestAxialCovariance:
 
     def test_off_family_correlation_caught(self):
         p = GeneralClonerParams(eta=0.0, t=np.diag([0.3, 0.1, 0.0]))
-        state = general_output_state(p, (0, 0, 1))
+        state = template_state_z(p)
         assert axial_covariance_residual(state, (0, 0, 1)) > 0.01
 
     def test_angle_count_validation(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,15 @@ class TestEigensolver:
             e4 = (e3 * p[0] - e2 * p[1] + e1 * p[2] - p[3]) / 4
             roots = np.sort(np.roots([1.0, -e1, e2, -e3, e4]).real)[::-1]
             np.testing.assert_allclose(hermitian_eigenvalues4(h), roots, atol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1.0, 1e150, 1e300])
+    def test_accurate_at_any_scale(self, scale):
+        h = scale * random_hermitian4(np.random.default_rng(24))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hermitian_eigenvalues4(h)
+        ref = np.linalg.eigvalsh(h)[::-1]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_sum_equals_trace(self):
         rng = np.random.default_rng(23)

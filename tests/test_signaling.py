@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,16 @@ def random_axis(rng):
 def random_params(rng):
     eta, t, t_xy = rng.uniform(-1.0, 1.0, size=3)
     return ClonerParams(eta=eta, t=t, t_xy=t_xy)
+
+
+def projector_rate(params, axis_a, axis_b):
+    """Success rate 1/2 + (1/2) Tr(Pi (rho_a - rho_b)) of the Helstrom measurement."""
+    diff = averaged_clone_output(params, axis_a) - averaged_clone_output(params, axis_b)
+    return 0.5 + 0.5 * np.trace(helstrom_projector(params, axis_a, axis_b) @ diff).real
+
+
+#: the violator's rate: 1/2 + (1/2)(1/6), the positive mass of the averaged difference
+VIOLATOR_RATE = projector_rate(VIOLATOR, Z, X)
 
 
 class TestSinglet:
@@ -111,7 +123,8 @@ class TestSignalingAdvantage:
     def test_diagonal_violator_value(self):
         rep = signaling_advantage(VIOLATOR, Z, X)
         assert rep.trace_distance == pytest.approx(1 / 3, abs=1e-12)
-        assert rep.helstrom_probability == pytest.approx(2 / 3, abs=1e-12)
+        assert VIOLATOR_RATE == pytest.approx(7 / 12, abs=1e-12)
+        assert rep.helstrom_probability == pytest.approx(VIOLATOR_RATE, abs=1e-12)
         assert rep.physical is True
 
     def test_diagonal_differences_in_general(self):
@@ -128,6 +141,7 @@ class TestSignalingAdvantage:
         assert rep.helstrom_probability == 0.5
 
     def test_guessing_rate_is_capped(self):
+        # D = 2 is the largest gap, where 1/2 + D/4 reaches certainty
         p = GeneralClonerParams(eta=0.0, t=np.diag([1.0, 1.0, -1.0]))
         rep = signaling_advantage(p, Z, X)
         assert rep.trace_distance == pytest.approx(2.0, abs=1e-12)
@@ -160,7 +174,7 @@ class TestMonteCarlo:
     def test_violator_converges_to_analytic_rate(self):
         rep = monte_carlo_signal(VIOLATOR, Z, X, shots=100_000, seed=7)
         sigma = 1.0 / (2.0 * np.sqrt(rep.mc_shots))
-        assert abs(rep.mc_estimate - 2 / 3) < 3 * sigma
+        assert abs(rep.mc_estimate - VIOLATOR_RATE) < 3 * sigma
 
     def test_estimator_is_unbiased(self):
         shots = 10_000
@@ -168,8 +182,41 @@ class TestMonteCarlo:
             monte_carlo_signal(VIOLATOR, Z, X, shots=shots, seed=s).mc_estimate
             for s in range(50)
         ]
-        sigma_mean = np.sqrt((2 / 3) * (1 / 3) / shots / len(estimates))
-        assert abs(np.mean(estimates) - 2 / 3) < 4 * sigma_mean
+        p = VIOLATOR_RATE
+        sigma_mean = np.sqrt(p * (1 - p) / shots / len(estimates))
+        assert abs(np.mean(estimates) - p) < 4 * sigma_mean
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_estimate_matches_projector_rate(self, case):
+        # the game is played by the Born rule, so the estimate checks the
+        # Helstrom rate independently of the reported trace distance
+        rng = np.random.default_rng(100 + case)
+        params = [
+            VIOLATOR,
+            GeneralClonerParams(eta=0.2, t=np.diag([0.1, -0.2, 0.3])),
+            GeneralClonerParams(eta=-0.3, t=rng.uniform(-0.2, 0.2, size=(3, 3))),
+            GeneralClonerParams(eta=0.1, t=np.diag([0.3, 0.3, -0.3])),
+        ][case]
+        a, b = (Z, X) if case < 2 else (random_axis(rng), random_axis(rng))
+        shots = 200_000
+        rep = monte_carlo_signal(params, a, b, shots=shots, seed=case)
+        assert rep.physical is True
+        p = projector_rate(params, a, b)
+        assert p > 0.5 + 1e-3
+        sigma = np.sqrt(p * (1 - p) / shots)
+        assert abs(rep.mc_estimate - p) < 4 * sigma
+
+    def test_memory_does_not_grow_with_shots(self):
+        # rounds are drawn in fixed chunks: a million shots must not hold
+        # a million-entry array (8 MB per float64 array)
+        monte_carlo_signal(VIOLATOR, Z, X, shots=1000, seed=3)
+        tracemalloc.start()
+        try:
+            monte_carlo_signal(VIOLATOR, Z, X, shots=1_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_non_physical_skips_sampling(self):
         rep = monte_carlo_signal(ClonerParams(0.8, 1 / 3, 0.0), Z, X, shots=100, seed=1)
