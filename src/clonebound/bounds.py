@@ -8,8 +8,8 @@ Two independent routes to the same number:
   ceiling is maximized on that feasible set at t_xy = 0, t = 1/3.
 * `max_eta_grid` knows none of that except the eta ceiling itself: it
   scans (t, t_xy) over [-1, 1]^2, builds the output-matrix entries at
-  the ceiling, and keeps the best point whose four eigenvalues are all
-  non-negative (within the boundary tolerance).
+  the ceiling, and keeps the best point whose four eigenvalues pass
+  the package's one positivity verdict (`family.is_positive`).
 
 The grid acts as the brute-force check on the closed form, so it must
 never report a larger eta; ties between grid points resolve
@@ -24,11 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidResolutionError
-from .family import ClonerParams, positivity_eigenvalues
-
-#: eigenvalues this far below zero still count as feasible; the optimum
-#: sits exactly on the positivity boundary, so strict tests would lose it
-FEASIBILITY_TOL = 1e-12
+from .family import is_positive, min_output_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -49,9 +45,9 @@ class BoundResult:
         }
 
 
-def feasible(params: ClonerParams) -> bool:
-    """True iff every closed-form output eigenvalue is >= -1e-12."""
-    return positivity_eigenvalues(params).min() >= -FEASIBILITY_TOL
+def feasible(params) -> bool:
+    """`is_positive` (lowest eigenvalue >= -1e-9) for either parameter type."""
+    return bool(is_positive(min_output_eigenvalue(params)))
 
 
 def max_eta_closed_form() -> BoundResult:
@@ -97,12 +93,12 @@ def max_eta_grid(resolution: int) -> BoundResult:
     """Exhaustive scan of (t, t_xy) in [-1, 1]^2 at the given resolution.
 
     For each grid pair the candidate eta is its ceiling (1 + t)/2; the
-    pair survives if all four matrix eigenvalues at that eta are
-    >= -1e-12.  Returns the surviving point with the largest eta.  The
-    ceiling depends on t alone, so every feasible t_xy at the winning t
-    ties; ties resolve deterministically to the t_xy of smallest
-    magnitude (negative side first on exact magnitude ties), tracking
-    the true t_xy = 0 maximizer at every resolution.
+    pair survives if all four matrix eigenvalues at that eta pass
+    `is_positive` (>= -1e-9).  Returns the surviving point with the
+    largest eta.  The ceiling depends on t alone, so every feasible t_xy
+    at the winning t ties; ties resolve deterministically to the t_xy of
+    smallest magnitude (negative side first on exact magnitude ties),
+    tracking the true t_xy = 0 maximizer at every resolution.
     """
     resolution = int(resolution)
     if resolution < 3:
@@ -113,7 +109,7 @@ def max_eta_grid(resolution: int) -> BoundResult:
     eigs = _matrix_entry_eigenvalues(eta, t, t_xy)
     ok = np.ones_like(t, dtype=bool)
     for lam in eigs:
-        ok &= lam >= -FEASIBILITY_TOL
+        ok &= is_positive(lam)
     if not np.any(ok):
         raise RuntimeError("no feasible grid point; the domain is wrong")
     best_eta = float(np.max(eta[ok]))

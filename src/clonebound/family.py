@@ -177,17 +177,26 @@ def output_state_z(params: ClonerParams) -> np.ndarray:
 def rotation_taking_z_to(m) -> np.ndarray:
     """The fixed SU(2) element mapping zhat to the unit vector m.
 
-    Minimal-geodesic convention: rotate about zhat x m by arccos(m_z).
-    Two special cases: m = zhat gives the identity, m = -zhat rotates
+    Minimal geodesic: U = c I - i s (n . sigma), n along zhat x m, with
+    the half-angle cosine and sine taken from whichever of 1 +- m_z does
+    not cancel: c = sqrt((1 + m_z)/2), s = |m_xy|/(2c) for m_z >= 0,
+    else s = sqrt((1 - m_z)/2), c = |m_xy|/(2s).  Two special cases: m = zhat gives the identity, m = -zhat rotates
     by pi about xhat.
     """
-    vec = _require_unit_axis(m)
-    axis = np.array([-vec[1], vec[0], 0.0])  # zhat x m
-    if np.linalg.norm(axis) < STATE_TOL:
-        if vec[2] > 0.0:
+    mx, my, mz = _require_unit_axis(m)
+    rho = math.hypot(mx, my)
+    if rho < STATE_TOL:
+        if mz > 0.0:
             return IDENTITY.copy()
         return su2_rotation((1.0, 0.0, 0.0), np.pi)
-    return su2_rotation(axis, np.arccos(np.clip(vec[2], -1.0, 1.0)))
+    if mz >= 0.0:
+        c = math.sqrt((1.0 + mz) / 2.0)
+        s = rho / (2.0 * c)
+    else:
+        s = math.sqrt((1.0 - mz) / 2.0)
+        c = rho / (2.0 * s)
+    # s (n . sigma) with n = (-m_y, m_x, 0) / |m_xy|
+    return c * IDENTITY - 1.0j * (s / rho) * (-my * SIGMA[0] + mx * SIGMA[1])
 
 
 def rotate_output(rho_z, m) -> np.ndarray:
@@ -257,6 +266,16 @@ def min_output_eigenvalue(params) -> float:
     if isinstance(params, ClonerParams):
         return positivity_eigenvalues(params).min()
     return float(hermitian_eigenvalues4(template_state_z(params))[-1])
+
+
+def is_positive(lowest):
+    """The one positivity verdict on a lowest eigenvalue, elementwise.
+
+    Zero is the physics threshold and STATE_TOL the only round-off
+    allowance.  The optimum's spectrum (2/3, 1/3, 0, 0) sits exactly on
+    the boundary, so points meant to lie on it are given exactly.
+    """
+    return lowest >= -STATE_TOL
 
 
 def axial_covariance_residual(rho, m, n_angles: int = 32) -> float:

@@ -36,9 +36,9 @@ from .errors import (
     RequiresPureInputError,
 )
 
-#: tolerance used when validating state-like inputs (hermiticity, trace, norm)
+#: round-off: state validation, verify residuals, positivity (>= -STATE_TOL)
 STATE_TOL = 1e-9
-#: tolerance for exact algebraic identities (round-trips, unitarity)
+#: exact identities: |eta|, |t_jk| <= 1, round-trips, unitarity
 ALGEBRA_TOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=complex)

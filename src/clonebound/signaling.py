@@ -26,29 +26,28 @@ The hypothetical cloner is applied per preparation (each ensemble
 component mapped through the family state for its direction).  That is
 deliberate: parameter choices violating positivity admit no completed
 physical channel, and the per-preparation map is exactly the device the
-no-signaling argument interrogates.  Parameters whose outputs have
-eigenvalues below -1e-9 are flagged as non-physical and the Monte
-Carlo branch is skipped; tiny negative eigenvalues above that cutoff
-count as round-off and are tolerated.
+no-signaling argument interrogates.  Parameters whose lowest output
+eigenvalue is below -1e-9 (`family.is_positive`, the verdict verify and
+`bounds.feasible` give) are flagged as non-physical and the Monte Carlo
+branch is skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .family import (
     _require_unit_axis,
+    is_positive,
     min_output_eigenvalue,
     no_signaling_residual,
     output_state,
 )
 from .pauli import bloch_to_density
 
-#: eigenvalues below this are genuine positivity violations, not round-off
-PHYSICALITY_TOL = -1e-9
 #: Monte Carlo rounds drawn at a time, so memory stays fixed for any shot count
 MC_CHUNK = 1 << 16
 
@@ -111,8 +110,7 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
     `trace_distance` is computed between the two opposite-outcome sums
     (so for diagonal correlation matrices and axes (zhat, xhat) it
     equals |t_zz - t_xx|); the guessing rate is 1/2 + D/4.
-    `physical` asks whether the outputs' shared spectrum stays above
-    the round-off cutoff.
+    `physical` is `is_positive` on the outputs' shared spectrum.
     """
     a = _require_unit_axis(axis_a, "axis_a")
     b = _require_unit_axis(axis_b, "axis_b")
@@ -122,7 +120,7 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
         axis_b=b,
         trace_distance=dist,
         helstrom_probability=0.5 + dist / 4.0,
-        physical=min_output_eigenvalue(params) >= PHYSICALITY_TOL,
+        physical=bool(is_positive(min_output_eigenvalue(params))),
     )
 
 
@@ -137,25 +135,15 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     he guesses a on Pi and b otherwise.  Rounds are drawn MC_CHUNK at a
     time.
 
-    Non-physical parameters (output eigenvalue below -1e-9)
-    return the analytic report with `physical` False and no Monte-Carlo
-    fields.
+    Non-physical parameters (`is_positive` false) return the analytic
+    report with `physical` False and no Monte-Carlo fields.
     """
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     report = signaling_advantage(params, axis_a, axis_b)
     if not report.physical:
-        return SignalReport(
-            axis_a=report.axis_a,
-            axis_b=report.axis_b,
-            trace_distance=report.trace_distance,
-            helstrom_probability=report.helstrom_probability,
-            mc_estimate=None,
-            mc_shots=0,
-            seed=int(seed),
-            physical=False,
-        )
+        return replace(report, seed=int(seed))
     a, b = report.axis_a, report.axis_b
     projector = helstrom_projector(params, a, b)
     # probability of outcome Pi for each preparation 2 * axis + sign,
@@ -171,16 +159,7 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
         prepared = rng.integers(0, 4, size=n, dtype=np.uint8)
         saw_pi = rng.random(n) < outcome_pi[prepared]
         correct += int(np.count_nonzero(saw_pi == (prepared < 2)))
-    return SignalReport(
-        axis_a=report.axis_a,
-        axis_b=report.axis_b,
-        trace_distance=report.trace_distance,
-        helstrom_probability=report.helstrom_probability,
-        mc_estimate=correct / shots,
-        mc_shots=shots,
-        seed=int(seed),
-        physical=True,
-    )
+    return replace(report, mc_estimate=correct / shots, mc_shots=shots, seed=int(seed))
 
 
 def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:

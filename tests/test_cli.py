@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from clonebound import cli
-from clonebound.family import GeneralClonerParams
+from clonebound.bounds import feasible
+from clonebound.family import ClonerParams, GeneralClonerParams, is_positive
 from clonebound.serialize import dump_json
 from clonebound.signaling import averaged_clone_output, helstrom_projector
 
@@ -36,17 +37,6 @@ class TestVerify:
         assert report["axial_residual"] < 1e-9
         assert report["no_signaling_residual"] < 1e-9
         assert report["min_eigenvalue"] > -1e-12
-
-    def test_truncated_decimals_near_the_boundary_pass(self, capsys):
-        # seven-digit truncation overshoots the positivity boundary by a
-        # few 1e-8, which the verify floor treats as parameter round-off
-        status, out, _ = run(
-            capsys, ["verify", "--eta", "0.6666667", "--t", "0.3333333"]
-        )
-        assert status == 0
-        report = json.loads(out)
-        assert report["pass"] is True
-        assert -1e-6 < report["min_eigenvalue"] < 0.0
 
     def test_overshooting_eta_fails(self, capsys):
         status, out, _ = run(capsys, ["verify", "--eta", "0.7", "--t", "1/3"])
@@ -295,9 +285,83 @@ class TestOutputPlumbing:
         assert "12345" in out
         assert "100000" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["clone", "--input", "nan,0,0"],
+        ["signal", "--axis-a", "nan,0,0"],
+        ["signal", "--axis-b", "0,nan,1"],
+    ])
+    def test_nan_axis_fails_at_its_flag(self, capsys, argv):
+        status, out, err = run(capsys, argv)
+        assert status == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert argv[1] in lines[0]
+
+    @pytest.mark.parametrize("command", ["verify", "optimize", "clone"])
+    def test_format_flag_only_where_it_acts(self, capsys, command):
+        # only signal and sweep have a CSV form; the others reject --format
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_reference_config_matches_defaults(self):
         committed = (REPO_ROOT / "reference-config.json").read_text(encoding="utf-8")
         assert committed == dump_json(cli.DEFAULTS)
+
+
+#: points on and next to the positivity boundary: flags, the lowest
+#: output eigenvalue, and the one verdict every entry point must give
+BOUNDARY_POINTS = {
+    "inside_1e-7": (["--eta", "0.6666664", "--t", "0.3333332"], 1e-7, True),
+    "on_boundary": (["--eta", "2/3", "--t", "1/3"], 0.0, True),
+    "round_off_-1e-10": (["--eta", "0.6666666668666666", "--t", "1/3"], -1e-10, True),
+    "truncated_decimals": (["--eta", "0.6666667", "--t", "0.3333333"], -2.5e-8, False),
+    "overshoot_-1e-7": (["--eta=0.6666668666666667", "--t=1/3"], -1e-7, False),
+    "t_xy_-7.5e-7": (["--eta", "2/3", "--t", "1/3", "--t_xy", "1e-3"], -7.5e-7, False),
+    "t_diag_-5e-8": (
+        ["--eta", "2/3", "--t_diag", "0.3333334,0.3333334,0.3333334"], -5e-8, False),
+}
+
+
+class TestPositivityAgreement:
+    """verify, signal, bounds.feasible and sweep give one positivity verdict.
+
+    Zero is the threshold and 1e-9 the only round-off allowance, so a
+    truncated decimal that overshoots the boundary by 2.5e-8 fails
+    everywhere; the exact boundary is reached with fractions.
+    """
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_POINTS))
+    def test_verify_signal_feasible_agree(self, capsys, name):
+        flags, lowest, positive = BOUNDARY_POINTS[name]
+        status, out, _ = run(capsys, ["verify", *flags])
+        report = json.loads(out)
+        assert report["min_eigenvalue"] == pytest.approx(lowest, rel=1e-5, abs=1e-15)
+        assert report["eigenvalue_floor"] == -1e-9
+        _, signal_out, _ = run(capsys, ["signal", *flags, "--shots", "10"])
+        if "t_matrix" in report:
+            params = GeneralClonerParams(report["eta"], report["t_matrix"])
+        else:
+            params = ClonerParams(report["eta"], report["t"], report["t_xy"])
+        verdicts = {
+            "verify positivity_ok": report["positivity_ok"],
+            "verify exit status": status == 0,
+            "signal physical": json.loads(signal_out)["physical"],
+            "feasible": feasible(params),
+            "is_positive": bool(is_positive(report["min_eigenvalue"])),
+        }
+        assert verdicts == dict.fromkeys(verdicts, positive)
+
+    def test_sweep_flags_match_feasible(self, capsys):
+        _, out, _ = run(capsys, ["sweep", "--resolution", "13", "--format", "json"])
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 13 ** 3
+        mismatched = [row[:3] for row in rows
+                      if row[7] != feasible(ClonerParams(*row[:3]))]
+        assert mismatched == []
 
 
 class TestDeterminism:

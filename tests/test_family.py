@@ -46,6 +46,8 @@ EDGE_AXES = {
     "minus_z": np.array([0.0, 0.0, -1.0]),
     # |m + z| ~ 5e-7: sin of the turn is tiny and 1 + m_z cancels
     "near_minus_z": np.array([3e-7, -4e-7, -1.0]) / np.linalg.norm([3e-7, -4e-7, -1.0]),
+    # |m + z| ~ 5e-9, just above the cutoff where -z is special-cased
+    "nearer_minus_z": np.array([3e-9, 4e-9, -1.0]) / np.linalg.norm([3e-9, 4e-9, -1.0]),
 }
 
 
@@ -174,12 +176,9 @@ class TestRotation:
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-14)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(rot @ [0, 0, 1], m, atol=1e-15)
-        if seed != "near_minus_z":
-            # the SU(2) reference takes its turn angle from arccos(m_z),
-            # which next to -z resolves it only to ~1e-16 / |m_xy|
-            r = bloch_rotation_matrix(rotation_taking_z_to(m))
-            np.testing.assert_allclose(r @ [0, 0, 1], m, atol=1e-12)
-            np.testing.assert_allclose(rot, r, atol=1e-12)
+        r = bloch_rotation_matrix(rotation_taking_z_to(m))
+        np.testing.assert_allclose(r @ [0, 0, 1], m, atol=1e-12)
+        np.testing.assert_allclose(rot, r, atol=1e-12)
 
     def test_rotate_output_preserves_spectrum(self):
         rng = np.random.default_rng(25)
