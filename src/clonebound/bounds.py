@@ -7,9 +7,12 @@ Two independent routes to the same number:
   central block demands 1 - t - 2 sqrt(t^2 + t_xy^2) >= 0, and the
   ceiling is maximized on that feasible set at t_xy = 0, t = 1/3.
 * `max_eta_grid` knows none of that except the eta ceiling itself: it
-  scans (t, t_xy) over [-1, 1]^2, builds the output-matrix entries at
-  the ceiling, and keeps the best point whose four eigenvalues pass
-  the package's one positivity verdict (`family.is_positive`).
+  walks t down from +1 over a grid of [-1, 1], builds the output-matrix
+  entries at the ceiling for every grid t_xy, and stops at the first
+  row with a point whose four eigenvalues pass the package's one
+  positivity verdict (`family.is_positive`).  The ceiling grows with
+  t, so that row holds the largest feasible eta on the whole (t, t_xy)
+  grid, and only one row is ever in memory.
 
 The grid acts as the brute-force check on the closed form, so it must
 never report a larger eta; ties between grid points resolve
@@ -18,7 +21,7 @@ deterministically (see max_eta_grid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,13 +39,7 @@ class BoundResult:
     method: str  # "closed_form" or "grid"
 
     def to_json_dict(self) -> dict:
-        return {
-            "eta_max": self.eta_max,
-            "t_star": self.t_star,
-            "t_xy_star": self.t_xy_star,
-            "fidelity_max": self.fidelity_max,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def feasible(params) -> bool:
@@ -90,40 +87,38 @@ def _matrix_entry_eigenvalues(eta, t, t_xy):
 
 
 def max_eta_grid(resolution: int) -> BoundResult:
-    """Exhaustive scan of (t, t_xy) in [-1, 1]^2 at the given resolution.
+    """Brute-force scan of (t, t_xy) in [-1, 1]^2, one t row at a time.
 
     For each grid pair the candidate eta is its ceiling (1 + t)/2; the
     pair survives if all four matrix eigenvalues at that eta pass
-    `is_positive` (>= -1e-9).  Returns the surviving point with the
-    largest eta.  The ceiling depends on t alone, so every feasible t_xy
-    at the winning t ties; ties resolve deterministically to the t_xy of
-    smallest magnitude (negative side first on exact magnitude ties),
-    tracking the true t_xy = 0 maximizer at every resolution.
+    `is_positive` (>= -1e-9).  The ceiling grows strictly with t, and
+    distinct grid t give distinct eta, so walking t down from +1 and
+    stopping at the first row with a survivor finds the largest eta on
+    the whole grid while holding one row of `resolution` values.  Every
+    survivor in that row ties; ties resolve deterministically to the
+    t_xy of smallest magnitude (negative side first on exact magnitude
+    ties), tracking the true t_xy = 0 maximizer at every resolution.
     """
     resolution = int(resolution)
     if resolution < 3:
         raise InvalidResolutionError(f"grid resolution must be >= 3, got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    t, t_xy = np.meshgrid(axis, axis, indexing="ij")
-    eta = (1.0 + t) / 2.0
-    eigs = _matrix_entry_eigenvalues(eta, t, t_xy)
-    ok = np.ones_like(t, dtype=bool)
-    for lam in eigs:
-        ok &= is_positive(lam)
-    if not np.any(ok):
-        raise RuntimeError("no feasible grid point; the domain is wrong")
-    best_eta = float(np.max(eta[ok]))
-    hit_t, hit_xy = np.where(ok & (eta == best_eta))
-    txy_vals = axis[hit_xy]
-    order = np.lexsort((txy_vals, np.abs(txy_vals), axis[hit_t]))
-    pick = order[0]
-    return BoundResult(
-        eta_max=best_eta,
-        t_star=float(axis[hit_t[pick]]),
-        t_xy_star=float(axis[hit_xy[pick]]),
-        fidelity_max=(1.0 + best_eta) / 2.0,
-        method="grid",
-    )
+    for t in axis[::-1]:
+        eta = (1.0 + t) / 2.0
+        ok = np.ones(resolution, dtype=bool)
+        for lam in _matrix_entry_eigenvalues(eta, t, axis):
+            ok &= is_positive(lam)
+        if ok.any():
+            t_xy = axis[ok]
+            pick = np.lexsort((t_xy, np.abs(t_xy)))[0]
+            return BoundResult(
+                eta_max=float(eta),
+                t_star=float(t),
+                t_xy_star=float(t_xy[pick]),
+                fidelity_max=(1.0 + float(eta)) / 2.0,
+                method="grid",
+            )
+    raise RuntimeError("no feasible grid point; the domain is wrong")
 
 
 def fidelity_bound() -> float:

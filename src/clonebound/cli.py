@@ -112,7 +112,7 @@ def _params_from_args(args) -> object:
 
 def _params_report_fields(params) -> dict:
     if isinstance(params, ClonerParams):
-        return {"eta": params.eta, "t": params.t, "t_xy": params.t_xy}
+        return params.to_json_dict()
     return {"eta": params.eta, "t_matrix": [list(map(float, r)) for r in params.t]}
 
 
@@ -276,8 +276,15 @@ def _add_output_flags(sub, command):
                      help="write output to PATH instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are one `error: ...` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clone-bound",
         description="Universal qubit-cloning bound: family verification, "
                     "optimization, cloning, and signaling experiments.",

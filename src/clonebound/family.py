@@ -27,7 +27,7 @@ kept as the independent reference the tests compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class ClonerParams:
         return mat
 
     def to_json_dict(self) -> dict:
-        return {"eta": self.eta, "t": self.t, "t_xy": self.t_xy}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClonerParams":
@@ -180,8 +180,8 @@ def rotation_taking_z_to(m) -> np.ndarray:
     Minimal geodesic: U = c I - i s (n . sigma), n along zhat x m, with
     the half-angle cosine and sine taken from whichever of 1 +- m_z does
     not cancel: c = sqrt((1 + m_z)/2), s = |m_xy|/(2c) for m_z >= 0,
-    else s = sqrt((1 - m_z)/2), c = |m_xy|/(2s).  Two special cases: m = zhat gives the identity, m = -zhat rotates
-    by pi about xhat.
+    else s = sqrt((1 - m_z)/2), c = |m_xy|/(2s).  Two special cases:
+    m = zhat gives the identity, m = -zhat rotates by pi about xhat.
     """
     mx, my, mz = _require_unit_axis(m)
     rho = math.hypot(mx, my)
@@ -278,25 +278,18 @@ def is_positive(lowest):
     return lowest >= -STATE_TOL
 
 
-def axial_covariance_residual(rho, m, n_angles: int = 32) -> float:
-    """Largest commutator norm between rho and rotations about m.
+def axial_covariance_residual(rho, m) -> float:
+    """Frobenius norm of [G, rho], G = m.sigma (x) I + I (x) m.sigma.
 
-    Samples n_angles equally spaced angles alpha in [0, 2pi) and
-    returns max_alpha || [E (x) E, rho] ||_F with E = exp(i alpha
-    m.sigma).  Zero (within tolerance) for every family member about
+    Every rotation about m acts on the pair as E (x) E = exp(i alpha G),
+    so rho commutes with all of them if and only if it commutes with
+    the generator G: zero (within round-off) exactly for states
+    invariant under rotations about m, as every family member is about
     its own axis.
     """
-    if n_angles < 1:
-        raise ValueError(f"n_angles must be >= 1, got {n_angles}")
-    vec = _require_unit_axis(m)
+    gen = np.einsum("j,jab->ab", _require_unit_axis(m), _BLOCH_PAIR)
     arr = np.asarray(rho, dtype=complex)
-    ms = vec[0] * SIGMA[0] + vec[1] * SIGMA[1] + vec[2] * SIGMA[2]
-    worst = 0.0
-    for alpha in np.arange(n_angles) * (2.0 * np.pi / n_angles):
-        e = np.cos(alpha) * IDENTITY + 1.0j * np.sin(alpha) * ms
-        k = tensor(e, e)
-        worst = max(worst, float(np.linalg.norm(k @ arr - arr @ k)))
-    return worst
+    return float(np.linalg.norm(gen @ arr - arr @ gen))
 
 
 def covariance_constraint_residual(t) -> float:

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clonebound.bounds import (
+    BoundResult,
+    _matrix_entry_eigenvalues,
     feasible,
     fidelity_bound,
     max_eta_closed_form,
@@ -9,7 +13,28 @@ from clonebound.bounds import (
 )
 from clonebound.buzek_hillery import bh_family_point
 from clonebound.errors import InvalidResolutionError
-from clonebound.family import ClonerParams, clone_fidelity
+from clonebound.family import ClonerParams, clone_fidelity, is_positive
+
+
+def full_plane_grid(resolution):
+    """Reference: the argmax over the whole (t, t_xy) plane, same tie-break."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    t, t_xy = np.meshgrid(axis, axis, indexing="ij")
+    eta = (1.0 + t) / 2.0
+    ok = np.ones_like(t, dtype=bool)
+    for lam in _matrix_entry_eigenvalues(eta, t, t_xy):
+        ok &= is_positive(lam)
+    best_eta = float(np.max(eta[ok]))
+    hit_t, hit_xy = np.where(ok & (eta == best_eta))
+    txy_vals = axis[hit_xy]
+    pick = np.lexsort((txy_vals, np.abs(txy_vals), axis[hit_t]))[0]
+    return BoundResult(
+        eta_max=best_eta,
+        t_star=float(axis[hit_t[pick]]),
+        t_xy_star=float(axis[hit_xy[pick]]),
+        fidelity_max=(1.0 + best_eta) / 2.0,
+        method="grid",
+    )
 
 
 class TestClosedForm:
@@ -108,6 +133,21 @@ class TestGrid:
     def test_fidelity_consistent_with_eta(self):
         res = max_eta_grid(resolution=11)
         assert res.fidelity_max == (1.0 + res.eta_max) / 2.0
+
+    def test_row_scan_matches_full_plane(self):
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        for resolution in [*range(3, 121), 201, 400, 401]:
+            assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
+
+    def test_memory_is_one_row(self):
+        # the whole 1001 x 1001 plane would need ~69 MiB
+        tracemalloc.start()
+        try:
+            max_eta_grid(1001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestFidelityBound:

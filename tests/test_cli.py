@@ -277,6 +277,23 @@ class TestOutputPlumbing:
             cli.main(["verify", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--format", "csv"],
+        ["verify", "--no-such-flag"],
+        ["optimize", "--method", "simplex"],
+        ["optimize", "--resolution", "many"],
+        [],
+    ], ids=["format", "unknown-flag", "bad-method", "non-integer", "no-subcommand"])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
     def test_help_shows_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["signal", "--help"])

@@ -238,9 +238,12 @@ class TestAxialCovariance:
         state = template_state_z(p)
         assert axial_covariance_residual(state, (0, 0, 1)) > 0.01
 
-    def test_angle_count_validation(self):
-        with pytest.raises(ValueError):
-            axial_covariance_residual(np.eye(4) / 4, (0, 0, 1), n_angles=0)
+    def test_generator_commutator_by_hand(self):
+        # G = sz (x) I + I (x) sz = diag(2, 0, 0, -2) and every entry of
+        # |++><++| is 1/4, so [G, rho]_ab = (g_a - g_b)/4 and
+        # ||[G, rho]||_F^2 = (8 * 2^2 + 2 * 4^2)/16 = 4
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        assert axial_covariance_residual(tensor(plus, plus), (0, 0, 1)) == 2.0
 
 
 class TestConstraintResiduals:
