@@ -119,8 +119,3 @@ def max_eta_grid(resolution: int) -> BoundResult:
                 method="grid",
             )
     raise RuntimeError("no feasible grid point; the domain is wrong")
-
-
-def fidelity_bound() -> float:
-    """The optimal universal cloning fidelity, 5/6."""
-    return max_eta_closed_form().fidelity_max

@@ -120,9 +120,8 @@ def _cmd_verify(args):
     params = _params_from_args(args)
     covariance = covariance_constraint_residual(params.as_matrix())
     axial = axial_covariance_residual(template_state_z(params), (0.0, 0.0, 1.0))
-    no_signal = max(
-        no_signaling_residual(params, a, b) for a, b in CANONICAL_AXIS_PAIRS
-    )
+    axes_a, axes_b = np.swapaxes(CANONICAL_AXIS_PAIRS, 0, 1)
+    no_signal = float(no_signaling_residual(params, axes_a, axes_b).max())
     min_eig = min_output_eigenvalue(params)
     # one round-off allowance, STATE_TOL, for the residuals and the
     # eigenvalue floor; boundary points pass when given as fractions

@@ -22,6 +22,10 @@ the z-frame template and shares its spectrum.  `output_state_z`,
 `rotation_taking_z_to` and `rotate_output` build the same states by
 writing the z-frame matrix out and conjugating it in SU(2); they are
 kept as the independent reference the tests compare against.
+
+Axes come one, shape (3,), or stacked, shape (N, 3), with one result
+per row.  Public functions validate them once; the private builders
+they call trust them, and nothing re-validates a state built here.
 """
 
 from __future__ import annotations
@@ -38,20 +42,26 @@ from .pauli import (
     IDENTITY,
     SIGMA,
     STATE_TOL,
-    hermitian_eigenvalues4,
+    _half_trace_norm,
     su2_rotation,
     tensor,
-    trace_distance,
 )
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
 
-#: axis pairs used by default when probing the opposite-mixture identity
+_Z = np.array([0.0, 0.0, 1.0])
+_EYE = np.eye(3)
+_HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
+_DIAGONAL = 1.0 / math.sqrt(3.0)
+
+#: axis pairs probing the opposite-mixture identity: with the fourth, the
+#: residual vanishes on all of them only for family points (rank 7 of 9)
 CANONICAL_AXIS_PAIRS = (
     ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
     ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
     ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((0.0, 0.0, 1.0), (_DIAGONAL, _DIAGONAL, _DIAGONAL)),
 )
 
 
@@ -91,10 +101,6 @@ class ClonerParams:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ClonerParams":
-        return cls(eta=data["eta"], t=data["t"], t_xy=data.get("t_xy", 0.0))
-
 
 @dataclass(frozen=True)
 class GeneralClonerParams:
@@ -122,10 +128,6 @@ class GeneralClonerParams:
     def to_json_dict(self) -> dict:
         return {"eta": self.eta, "t": [[float(v) for v in row] for row in self.t]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GeneralClonerParams":
-        return cls(eta=data["eta"], t=np.asarray(data["t"], dtype=float))
-
 
 @dataclass(frozen=True)
 class PositivityEigenvalues:
@@ -144,12 +146,29 @@ class PositivityEigenvalues:
 
 
 def _require_unit_axis(m, what="direction"):
-    vec = np.asarray(m, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise InvalidBlochError(f"{what} must be a finite 3-vector, got {m!r}")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > STATE_TOL:
-        raise InvalidBlochError(f"{what} must be unit length, |m| = {norm}")
+    """Unit 3-vectors, shape (3,) or (N, 3); errors name `what` and the bad row."""
+    try:
+        vec = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged stacks, non-numbers
+        raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack") from exc
+    if vec.ndim not in (1, 2) or vec.shape[-1] != 3:
+        raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack, got {vec.shape}")
+    norms = np.linalg.norm(vec, axis=-1).reshape(-1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_TOL))
+    if bad.size:
+        row = vec.reshape(-1, 3)[bad[0]]
+        name = what if vec.ndim == 1 else f"{what}[{bad[0]}]"
+        if not np.all(np.isfinite(row)):
+            raise InvalidBlochError(f"{name} must be a finite 3-vector, got {row!r}")
+        raise InvalidBlochError(f"{name} must be unit length, |m| = {norms[bad[0]]}")
+    return vec
+
+
+def _require_one_axis(m, what="direction"):
+    """`_require_unit_axis` for arguments that take one direction, not a stack."""
+    vec = _require_unit_axis(m, what)
+    if vec.ndim != 1:
+        raise InvalidBlochError(f"{what} must be one 3-vector, got shape {vec.shape}")
     return vec
 
 
@@ -183,7 +202,7 @@ def rotation_taking_z_to(m) -> np.ndarray:
     else s = sqrt((1 - m_z)/2), c = |m_xy|/(2s).  Two special cases:
     m = zhat gives the identity, m = -zhat rotates by pi about xhat.
     """
-    mx, my, mz = _require_unit_axis(m)
+    mx, my, mz = _require_one_axis(m)
     rho = math.hypot(mx, my)
     if rho < STATE_TOL:
         if mz > 0.0:
@@ -219,19 +238,28 @@ def bloch_rotation_z_to(m) -> np.ndarray:
     f equals 1/(1 + m_z) for unit m but stays accurate next to -zhat,
     where 1 + m_z cancels.  Same convention as `rotation_taking_z_to`:
     m = zhat gives the identity, m = -zhat a half turn about xhat.
+    m of shape (3,) gives one (3, 3) matrix, a stack (N, 3) gives (N, 3, 3).
     """
-    x, y, z = (float(v) for v in _require_unit_axis(m))
-    norm = math.sqrt(x * x + y * y + z * z)
-    x, y, z = x / norm, y / norm, z / norm
+    return _rotations_z_to(_require_unit_axis(m))
+
+
+def _rotations_z_to(axes):
+    """`bloch_rotation_z_to` for validated axes, shape (..., 3) -> (..., 3, 3)."""
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
+    unit = axes / np.sqrt(x * x + y * y + z * z)[..., None]
+    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
     rho2 = x * x + y * y
-    if rho2 < STATE_TOL * STATE_TOL:
-        return np.eye(3) if z > 0.0 else np.diag([1.0, -1.0, -1.0])
-    f = (1.0 - z) / rho2
-    return np.array([
-        [1.0 - f * x * x, -f * x * y, x],
-        [-f * x * y, 1.0 - f * y * y, y],
-        [-x, -y, z],
-    ])
+    pole = rho2 < STATE_TOL * STATE_TOL
+    f = (1.0 - z) / np.where(pole, 1.0, rho2)
+    fx = f * x
+    rot = np.empty(axes.shape[:-1] + (3, 3))
+    rot[..., 0, 0] = 1.0 - fx * x
+    rot[..., 0, 1] = rot[..., 1, 0] = -fx * y
+    rot[..., 1, 1] = 1.0 - f * y * y
+    rot[..., :, 2] = unit
+    rot[..., 2, :2] = -unit[..., :2]
+    at_pole = np.where(z[..., None, None] > 0.0, _EYE, _HALF_TURN_X)
+    return np.where(pole[..., None, None], at_pole, rot)
 
 
 def output_state(params, m) -> np.ndarray:
@@ -240,20 +268,34 @@ def output_state(params, m) -> np.ndarray:
     (1/4)(I + eta (m.sigma (x) I + I (x) m.sigma)
           + sum_jk (R t R^T)_jk sigma_j (x) sigma_k),  R = bloch_rotation_z_to(m).
 
-    The marginals use R zhat, the normalized m.  The Bloch part is added
-    to the identity before the correlation part, the order the z-frame
-    closed form uses, so that at m = zhat the result matches
-    `output_state_z` bit for bit.
+    m of shape (3,) gives one (4, 4) state, a stack (N, 3) gives
+    (N, 4, 4).  The marginals use R zhat, the normalized m.  The Bloch
+    part is added to the identity before the correlation part, the
+    order the z-frame closed form uses, so that at m = zhat the result
+    matches `output_state_z` bit for bit.
     """
-    rot = bloch_rotation_z_to(m)
-    bloch = BASIS[0, 0] + params.eta * np.einsum("j,jab->ab", rot[:, 2], _BLOCH_PAIR)
-    corr = rot @ params.as_matrix() @ rot.T
-    return (bloch + np.einsum("jk,jkab->ab", corr, BASIS[1:, 1:])) / 4.0
+    return _output_states(params, _require_unit_axis(m))
+
+
+def _output_states(params, axes):
+    """`output_state` for validated axes, shape (..., 3) -> (..., 4, 4).
+
+    Each real or imaginary part of an entry of either expansion has at
+    most two nonzero terms (the basis entries are 0, +-1, +-i), so the
+    matmuls sum them exactly, in whatever order BLAS takes.
+    """
+    shape = axes.shape[:-1] + (4, 4)
+    # one axis is a stack of one, so every row takes the same matmul path
+    rot = _rotations_z_to(axes.reshape(-1, 3))
+    bloch = (rot[:, :, 2] @ _BLOCH_PAIR.reshape(3, 16)).reshape(shape)
+    corr = rot @ params.as_matrix() @ rot.transpose(0, 2, 1)
+    corr_part = (corr.reshape(-1, 9) @ BASIS[1:, 1:].reshape(9, 16)).reshape(shape)
+    return (BASIS[0, 0] + params.eta * bloch + corr_part) / 4.0
 
 
 def template_state_z(params) -> np.ndarray:
     """The z-frame template state of either parameter type."""
-    return output_state(params, (0.0, 0.0, 1.0))
+    return _output_states(params, _Z)
 
 
 def min_output_eigenvalue(params) -> float:
@@ -265,7 +307,7 @@ def min_output_eigenvalue(params) -> float:
     """
     if isinstance(params, ClonerParams):
         return positivity_eigenvalues(params).min()
-    return float(hermitian_eigenvalues4(template_state_z(params))[-1])
+    return float(np.linalg.eigvalsh(template_state_z(params))[0])
 
 
 def is_positive(lowest):
@@ -287,7 +329,7 @@ def axial_covariance_residual(rho, m) -> float:
     invariant under rotations about m, as every family member is about
     its own axis.
     """
-    gen = np.einsum("j,jab->ab", _require_unit_axis(m), _BLOCH_PAIR)
+    gen = np.einsum("j,jab->ab", _require_one_axis(m), _BLOCH_PAIR)
     arr = np.asarray(rho, dtype=complex)
     return float(np.linalg.norm(gen @ arr - arr @ gen))
 
@@ -313,20 +355,28 @@ def covariance_constraint_residual(t) -> float:
     )
 
 
-def no_signaling_residual(params, axis_a, axis_b) -> float:
+def no_signaling_residual(params, axis_a, axis_b):
     """Distinguishability of the two opposite-outcome output sums.
 
     Builds rho_out(+a) + rho_out(-a) and rho_out(+b) + rho_out(-b)
     (each output by `output_state`) and returns the trace distance
     between the two sums.  For diagonal correlation matrices and axes
     (zhat, xhat) this equals |t_zz - t_xx|; it vanishes for every
-    constrained family point and every axis pair.
+    constrained family point and every axis pair.  Axes of shape (3,)
+    give a float; stacks (N, 3) give one value per pair, shape (N,).
     """
     a = _require_unit_axis(axis_a, "axis_a")
     b = _require_unit_axis(axis_b, "axis_b")
-    side_a = output_state(params, a) + output_state(params, -a)
-    side_b = output_state(params, b) + output_state(params, -b)
-    return trace_distance(side_a, side_b)
+    if a.shape != b.shape:
+        raise InvalidBlochError(f"axis_a and axis_b differ in shape: {a.shape} vs {b.shape}")
+    distance = _half_trace_norm(_opposite_outputs(params, a, b)[1])
+    return float(distance) if a.ndim == 1 else distance
+
+
+def _opposite_outputs(params, a, b):
+    """Outputs at +a, -a, +b, -b (stacked first) and (rho(+a) + rho(-a)) - (rho(+b) + rho(-b))."""
+    outputs = _output_states(params, np.stack([a, -a, b, -b]))
+    return outputs, outputs[0] + outputs[1] - (outputs[2] + outputs[3])
 
 
 def positivity_eigenvalues(params: ClonerParams) -> PositivityEigenvalues:

@@ -21,6 +21,10 @@ Conventions used everywhere in this package:
 a matrix from its coefficient table and reading the table back are each
 one `einsum` against it.  Spectra come from LAPACK through
 `np.linalg.eigvalsh`, which stays accurate at any scale.
+
+Public functions validate their inputs once, at entry.  The private
+`_half_trace_norm` takes stacks (..., n, n) and validates nothing: the
+package calls it on differences of states it built itself.
 """
 
 from __future__ import annotations
@@ -49,29 +53,11 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: the three traceless Paulis in (x, y, z) order
 SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-_PAULI_BY_LABEL = {"I": IDENTITY, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 _PAULI_BY_INDEX = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 #: BASIS[j, k] = sigma_j (x) sigma_k for j, k in 0..3, index 0 the identity
 BASIS = np.array([[np.kron(pj, pk) for pk in _PAULI_BY_INDEX] for pj in _PAULI_BY_INDEX])
 BASIS.flags.writeable = False
-
-
-def pauli_matrix(which):
-    """Return a fresh copy of a Pauli matrix.
-
-    `which` is one of the labels 'I', 'X', 'Y', 'Z' (case-insensitive)
-    or the index 0..3 in the same order.
-    """
-    if isinstance(which, str):
-        label = which.upper()
-        if label not in _PAULI_BY_LABEL:
-            raise KeyError(f"unknown Pauli label {which!r}, expected I/X/Y/Z")
-        return _PAULI_BY_LABEL[label].copy()
-    index = int(which)
-    if not 0 <= index <= 3:
-        raise KeyError(f"Pauli index {which!r} out of range 0..3")
-    return _PAULI_BY_INDEX[index].copy()
 
 
 def _as_complex_square(m, dim, what):
@@ -87,10 +73,10 @@ def _hermiticity_residual(arr):
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def _require_hermitian(m, dim, what, tol=STATE_TOL):
+def _require_hermitian(m, dim, what):
     arr = _as_complex_square(m, dim, what)
     res = _hermiticity_residual(arr)
-    if res > tol:
+    if res > STATE_TOL:
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
     return arr
 
@@ -247,8 +233,13 @@ def trace_distance(rho, sigma) -> float:
     b = _require_hermitian(sigma, 4, "second matrix")
     if abs(np.trace(a).real - np.trace(b).real) > STATE_TOL:
         raise InvalidStateError("trace distance requires matrices of equal trace")
-    eigs = hermitian_eigenvalues4(a - b)
-    return float(np.sum(np.abs(eigs)) / 2.0)
+    diff = a - b
+    return float(_half_trace_norm((diff + diff.conj().T) / 2.0))
+
+
+def _half_trace_norm(diff):
+    """Half the absolute-eigenvalue sum of Hermitian (..., n, n), eigenvalues summed descending."""
+    return np.abs(np.linalg.eigvalsh(diff)[..., ::-1]).sum(axis=-1) / 2.0
 
 
 def su2_rotation(axis, angle: float) -> np.ndarray:

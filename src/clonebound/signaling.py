@@ -30,6 +30,10 @@ no-signaling argument interrogates.  Parameters whose lowest output
 eigenvalue is below -1e-9 (`family.is_positive`, the verdict verify and
 `bounds.feasible` give) are flagged as non-physical and the Monte Carlo
 branch is skipped.
+
+Each public function validates its single axes once and builds the
+outputs for +a, -a, +b and -b once; the trace distance, the Helstrom
+projector and the Monte Carlo outcome probabilities all come from them.
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ from typing import Optional
 import numpy as np
 
 from .family import (
-    _require_unit_axis,
+    _opposite_outputs,
+    _output_states,
+    _require_one_axis,
     is_positive,
     min_output_eigenvalue,
-    no_signaling_residual,
-    output_state,
 )
-from .pauli import bloch_to_density
+from .pauli import _half_trace_norm, bloch_to_density
 
 #: Monte Carlo rounds drawn at a time, so memory stays fixed for any shot count
 MC_CHUNK = 1 << 16
@@ -88,7 +92,7 @@ def singlet() -> np.ndarray:
 
 def remote_mixture(axis) -> RemoteEnsemble:
     """The ensemble {(1/2, +axis), (1/2, -axis)} Alice's measurement prepares."""
-    vec = _require_unit_axis(axis, "measurement axis")
+    vec = _require_one_axis(axis, "measurement axis")
     return RemoteEnsemble(
         axis=vec, components=((0.5, vec.copy()), (0.5, -vec))
     )
@@ -100,8 +104,22 @@ def averaged_clone_output(params, axis) -> np.ndarray:
     Unit trace; the eta terms cancel between +axis and -axis, leaving
     only the (rotated) correlation part.
     """
-    vec = _require_unit_axis(axis, "measurement axis")
-    return (output_state(params, vec) + output_state(params, -vec)) / 2.0
+    vec = _require_one_axis(axis, "measurement axis")
+    plus, minus = _output_states(params, np.stack([vec, -vec]))
+    return (plus + minus) / 2.0
+
+
+def _report(params, a, b, difference) -> SignalReport:
+    dist = float(_half_trace_norm(difference))
+    physical = bool(is_positive(min_output_eigenvalue(params)))
+    return SignalReport(a, b, dist, 0.5 + dist / 4.0, physical=physical)
+
+
+def _helstrom(difference) -> np.ndarray:
+    # the averaged outputs differ by half the opposite-sum difference
+    eigvals, eigvecs = np.linalg.eigh(difference / 2.0)
+    plus = eigvecs[:, eigvals > 0.0]
+    return plus @ plus.conj().T
 
 
 def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
@@ -112,16 +130,9 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
     equals |t_zz - t_xx|); the guessing rate is 1/2 + D/4.
     `physical` is `is_positive` on the outputs' shared spectrum.
     """
-    a = _require_unit_axis(axis_a, "axis_a")
-    b = _require_unit_axis(axis_b, "axis_b")
-    dist = no_signaling_residual(params, a, b)
-    return SignalReport(
-        axis_a=a,
-        axis_b=b,
-        trace_distance=dist,
-        helstrom_probability=0.5 + dist / 4.0,
-        physical=bool(is_positive(min_output_eigenvalue(params))),
-    )
+    a = _require_one_axis(axis_a, "axis_a")
+    b = _require_one_axis(axis_b, "axis_b")
+    return _report(params, a, b, _opposite_outputs(params, a, b)[1])
 
 
 def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalReport:
@@ -141,16 +152,16 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    report = signaling_advantage(params, axis_a, axis_b)
+    a = _require_one_axis(axis_a, "axis_a")
+    b = _require_one_axis(axis_b, "axis_b")
+    outputs, difference = _opposite_outputs(params, a, b)
+    report = _report(params, a, b, difference)
     if not report.physical:
         return replace(report, seed=int(seed))
-    a, b = report.axis_a, report.axis_b
-    projector = helstrom_projector(params, a, b)
     # probability of outcome Pi for each preparation 2 * axis + sign,
     # axis 0 = a and sign 0 = +
     outcome_pi = np.clip(
-        [np.trace(projector @ output_state(params, m)).real for m in (a, -a, b, -b)],
-        0.0, 1.0,
+        np.trace(_helstrom(difference) @ outputs, axis1=-2, axis2=-1).real, 0.0, 1.0
     )
     rng = np.random.default_rng(int(seed))
     correct = 0
@@ -168,8 +179,6 @@ def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:
     This is the measurement an optimal single-shot discriminator
     applies to the clone pair; exposed for demos and tests.
     """
-    diff = averaged_clone_output(params, axis_a) - averaged_clone_output(params, axis_b)
-    sym = (diff + diff.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    plus = eigvecs[:, eigvals > 0.0]
-    return plus @ plus.conj().T
+    a = _require_one_axis(axis_a, "axis_a")
+    b = _require_one_axis(axis_b, "axis_b")
+    return _helstrom(_opposite_outputs(params, a, b)[1])

@@ -7,13 +7,11 @@ from clonebound.bounds import (
     BoundResult,
     _matrix_entry_eigenvalues,
     feasible,
-    fidelity_bound,
     max_eta_closed_form,
     max_eta_grid,
 )
-from clonebound.buzek_hillery import bh_family_point
 from clonebound.errors import InvalidResolutionError
-from clonebound.family import ClonerParams, clone_fidelity, is_positive
+from clonebound.family import ClonerParams, is_positive
 
 
 def full_plane_grid(resolution):
@@ -148,13 +146,3 @@ class TestGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-
-
-class TestFidelityBound:
-    def test_value(self):
-        assert abs(fidelity_bound() - 5 / 6) < 1e-15
-
-    def test_attained_by_the_cloner(self):
-        assert clone_fidelity(bh_family_point()) == pytest.approx(
-            fidelity_bound(), abs=1e-12
-        )

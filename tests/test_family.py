@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ class TestParamTypes:
 
     def test_cloner_params_json_round_trip(self):
         p = ClonerParams(eta=2 / 3, t=1 / 3, t_xy=0.0)
-        assert ClonerParams.from_json_dict(p.to_json_dict()) == p
+        assert ClonerParams(**p.to_json_dict()) == p
         assert p.to_json_dict() == {"eta": 2 / 3, "t": 1 / 3, "t_xy": 0.0}
 
     def test_general_params_validation(self):
@@ -79,7 +81,7 @@ class TestParamTypes:
 
     def test_general_params_json_round_trip(self):
         p = GeneralClonerParams(eta=0.1, t=np.diag([0.0, 0.0, 1 / 3]))
-        q = GeneralClonerParams.from_json_dict(p.to_json_dict())
+        q = GeneralClonerParams(**p.to_json_dict())
         np.testing.assert_array_equal(p.t, q.t)
         assert p.eta == q.eta
 
@@ -307,11 +309,90 @@ class TestNoSignalingResidual:
         p = GeneralClonerParams(eta=0.3, t=np.diag([0.1, -0.2, 0.5]))
         assert no_signaling_residual(p, (0, 0, 1), (0, 0, 1)) < 1e-15
 
+    def test_symmetric_xy_correlation_signals_on_the_fourth_pair(self):
+        # t_xy = t_yx is off the family yet silent on the first three pairs
+        p = GeneralClonerParams(eta=0.0, t=[[0.2, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.2]])
+        axes_a, axes_b = np.swapaxes(CANONICAL_AXIS_PAIRS, 0, 1)
+        np.testing.assert_allclose(
+            no_signaling_residual(p, axes_a, axes_b), [0.0, 0.0, 0.0, 0.1], atol=1e-12
+        )
+
+    def test_canonical_pairs_leave_exactly_the_family(self):
+        # the opposite-sum difference is linear in t: one column per E_jk,
+        # stacked over the pairs; its kernel must be span{I, J_z}
+        axes_a, axes_b = np.swapaxes(CANONICAL_AXIS_PAIRS, 0, 1)
+        columns = []
+        for j, k in np.ndindex(3, 3):
+            unit = np.zeros((3, 3))
+            unit[j, k] = 1.0
+            p = GeneralClonerParams(eta=0.0, t=unit)
+            diff = (output_state(p, axes_a) + output_state(p, -axes_a)
+                    - output_state(p, axes_b) - output_state(p, -axes_b))
+            columns.append(np.stack([diff.real, diff.imag], axis=-1).reshape(len(diff), -1))
+        # (pair, entry, E_jk)
+        linear_map = np.stack(columns, axis=-1)
+        assert np.linalg.matrix_rank(linear_map[:3].reshape(-1, 9), tol=1e-9) == 6
+        _, singular, vt = np.linalg.svd(linear_map.reshape(-1, 9))
+        assert singular[6] > 0.1 and singular[7] < 1e-12
+        j_z = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        family = np.array([np.eye(3).ravel() / np.sqrt(3.0), j_z.ravel() / np.sqrt(2.0)])
+        kernel = vt[7:]
+        np.testing.assert_allclose(family @ kernel.T @ kernel, family, atol=1e-12)
+
     def test_eta_never_contributes(self):
         # opposite preparations cancel the eta terms, so even eta = 1
         # stays silent inside the family
         p = ClonerParams(eta=1.0, t=0.0, t_xy=0.0)
         assert no_signaling_residual(p, (0, 0, 1), (1, 0, 0)) < 1e-12
+
+
+class TestStackedAxes:
+    """An (N, 3) stack of axes gives the rows of N per-axis calls."""
+
+    @staticmethod
+    def axes(seed):
+        rng = np.random.default_rng(seed)
+        return np.array([*(random_axis(rng) for _ in range(20)), *EDGE_AXES.values()])
+
+    def test_rows_are_the_per_axis_calls_bit_for_bit(self):
+        axes = self.axes(70)
+        rots = bloch_rotation_z_to(axes)
+        assert rots.shape == (len(axes), 3, 3)
+        for m, rot in zip(axes, rots):
+            np.testing.assert_array_equal(rot, bloch_rotation_z_to(m))
+        t = np.random.default_rng(71).uniform(-1.0, 1.0, size=(3, 3))
+        for p in (ClonerParams(0.3, -0.2, 0.4), GeneralClonerParams(eta=-0.5, t=t)):
+            states = output_state(p, axes)
+            assert states.shape == (len(axes), 4, 4)
+            for m, state in zip(axes, states):
+                np.testing.assert_array_equal(state, output_state(p, m))
+
+    def test_stacked_residual_matches_per_pair_calls(self):
+        rng = np.random.default_rng(72)
+        axes_a, axes_b = self.axes(73), self.axes(74)[::-1]
+        for _ in range(20):
+            p = GeneralClonerParams(eta=rng.uniform(-1, 1), t=rng.uniform(-1, 1, (3, 3)))
+            stacked = no_signaling_residual(p, axes_a, axes_b)
+            assert stacked.shape == (len(axes_a),)
+            per_pair = [no_signaling_residual(p, a, b) for a, b in zip(axes_a, axes_b)]
+            assert all(isinstance(v, float) for v in per_pair)
+            np.testing.assert_allclose(stacked, per_pair, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad_row", [(0.0, 0.0, 0.5), (np.nan, 0.0, 0.0), (1.0, 0.0)],
+                             ids=["non_unit", "nan", "wrong_width"])
+    @pytest.mark.parametrize("side", ["axis_a", "axis_b"])
+    def test_bad_row_names_its_argument(self, side, bad_row):
+        p = ClonerParams(0.2, 0.1, 0.0)
+        good = [list(m) for m in EDGE_AXES.values()]
+        stacks = {"axis_a": good, "axis_b": good}
+        stacks[side] = good[:2] + [list(bad_row)] + good[3:]
+        with pytest.raises(InvalidBlochError, match=re.escape(side)):
+            no_signaling_residual(p, stacks["axis_a"], stacks["axis_b"])
+
+    def test_pair_stacks_must_match_in_shape(self):
+        axes = self.axes(75)
+        with pytest.raises(InvalidBlochError, match="axis_a and axis_b"):
+            no_signaling_residual(ClonerParams(0.2, 0.1, 0.0), axes, axes[:-1])
 
 
 class TestPositivity:

@@ -21,7 +21,6 @@ from clonebound.pauli import (
     overlap_fidelity,
     partial_trace,
     pauli_decompose,
-    pauli_matrix,
     pauli_reconstruct,
     random_rotation,
     su2_rotation,
@@ -46,22 +45,6 @@ def random_state2(rng):
 
 
 class TestPauliConstants:
-    def test_lookup_by_label_and_index(self):
-        np.testing.assert_array_equal(pauli_matrix("Z"), np.diag([1, -1]))
-        np.testing.assert_array_equal(pauli_matrix("x"), pauli_matrix(1))
-        np.testing.assert_array_equal(pauli_matrix(0), np.eye(2))
-
-    def test_lookup_returns_copy(self):
-        m = pauli_matrix("X")
-        m[0, 0] = 99
-        assert pauli_matrix("X")[0, 0] == 0
-
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            pauli_matrix("Q")
-        with pytest.raises(KeyError):
-            pauli_matrix(4)
-
     def test_involution_and_commutator(self):
         np.testing.assert_allclose(SIGMA_X @ SIGMA_X, IDENTITY, atol=1e-15)
         np.testing.assert_allclose(

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clonebound import family
 from clonebound.errors import InvalidBlochError
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import SIGMA_X, SIGMA_Z, density_to_bloch, partial_trace, tensor
@@ -151,6 +152,15 @@ class TestSignalingAdvantage:
         rep = signaling_advantage(ClonerParams(0.8, 1 / 3, 0.0), Z, X)
         assert rep.physical is False
 
+    @pytest.mark.parametrize("call", [
+        signaling_advantage,
+        helstrom_projector,
+        lambda params, a, b: monte_carlo_signal(params, a, b, shots=10, seed=1),
+    ], ids=["signaling_advantage", "helstrom_projector", "monte_carlo_signal"])
+    def test_takes_one_axis_per_argument(self, call):
+        with pytest.raises(InvalidBlochError, match="axis_b"):
+            call(VIOLATOR, Z, np.array([X, Z], dtype=float))
+
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
@@ -225,6 +235,19 @@ class TestMonteCarlo:
         assert rep.mc_shots == 0
         assert rep.seed == 1
         assert rep.trace_distance < 1e-12
+
+    def test_four_outputs_are_built_once(self, monkeypatch):
+        built = []
+        build = family._output_states
+
+        def recording(params, axes):
+            built.append(np.shape(axes))
+            return build(params, axes)
+
+        monkeypatch.setattr(family, "_output_states", recording)
+        monte_carlo_signal(VIOLATOR, Z, X, shots=100, seed=1)
+        # +a, -a, +b, -b in one stack, and the z template for `physical`
+        assert sorted(built) == [(3,), (4, 3)]
 
     def test_shot_count_validation(self):
         with pytest.raises(ValueError):
