@@ -110,12 +110,6 @@ def _params_from_args(args) -> object:
     return ClonerParams(eta=eta, t=_number(args.t), t_xy=_number(args.t_xy))
 
 
-def _params_report_fields(params) -> dict:
-    if isinstance(params, ClonerParams):
-        return params.to_json_dict()
-    return {"eta": params.eta, "t_matrix": [list(map(float, r)) for r in params.t]}
-
-
 def _cmd_verify(args):
     params = _params_from_args(args)
     covariance = covariance_constraint_residual(params.as_matrix())
@@ -133,7 +127,7 @@ def _cmd_verify(args):
     }
     report = {
         "command": "verify",
-        **_params_report_fields(params),
+        **params.to_json_dict(),
         "covariance_residual": covariance,
         "axial_residual": axial,
         "no_signaling_residual": no_signal,
@@ -196,7 +190,10 @@ def _cmd_signal(args):
     shots = int(args.shots)
     if shots < 1:
         raise _UsageError(f"--shots must be >= 1, got {shots}")
-    report = monte_carlo_signal(params, axis_a, axis_b, shots=shots, seed=int(args.seed))
+    seed = int(args.seed)
+    if seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
+    report = monte_carlo_signal(params, axis_a, axis_b, shots=shots, seed=seed)
     if args.format == "csv":
         row = (
             *(float(v) for v in report.axis_a), *(float(v) for v in report.axis_b),
@@ -207,7 +204,7 @@ def _cmd_signal(args):
         return 0, "\n".join(csv_lines(_SIGNAL_CSV_HEADER, [row])) + "\n"
     payload = {
         "command": "signal",
-        **_params_report_fields(params),
+        **params.to_json_dict(),
         "axis_a": [float(v) for v in report.axis_a],
         "axis_b": [float(v) for v in report.axis_b],
         "trace_distance": report.trace_distance,

@@ -13,7 +13,7 @@ class InvalidStateError(CloneBoundError):
     """Density matrix fails validation (hermiticity, trace, or positivity)."""
 
 
-class NotHermitianError(CloneBoundError):
+class NotHermitianError(InvalidStateError):
     """Matrix expected to be Hermitian is not, beyond tolerance."""
 
 

@@ -18,10 +18,7 @@ minimal-geodesic SO(3) rotation taking zhat to m (`bloch_rotation_z_to`),
 both marginals point along eta*m and the correlation matrix is R t R^T,
 i.e. it co-rotates with the input direction, which is what universality
 means operationally.  Every output is therefore a U (x) U conjugate of
-the z-frame template and shares its spectrum.  `output_state_z`,
-`rotation_taking_z_to` and `rotate_output` build the same states by
-writing the z-frame matrix out and conjugating it in SU(2); they are
-kept as the independent reference the tests compare against.
+the z-frame template and shares its spectrum.
 
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
 per row.  Public functions validate them once; the private builders
@@ -36,16 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidBlochError
-from .pauli import (
-    ALGEBRA_TOL,
-    BASIS,
-    IDENTITY,
-    SIGMA,
-    STATE_TOL,
-    _half_trace_norm,
-    su2_rotation,
-    tensor,
-)
+from .pauli import ALGEBRA_TOL, BASIS, STATE_TOL, _half_trace_norm
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
@@ -126,7 +114,7 @@ class GeneralClonerParams:
         return self.t
 
     def to_json_dict(self) -> dict:
-        return {"eta": self.eta, "t": [[float(v) for v in row] for row in self.t]}
+        return {"eta": self.eta, "t_matrix": [[float(v) for v in row] for row in self.t]}
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ def _require_unit_axis(m, what="direction"):
         row = vec.reshape(-1, 3)[bad[0]]
         name = what if vec.ndim == 1 else f"{what}[{bad[0]}]"
         if not np.all(np.isfinite(row)):
-            raise InvalidBlochError(f"{name} must be a finite 3-vector, got {row!r}")
+            raise InvalidBlochError(f"{name} must be a finite 3-vector, got {row.tolist()}")
         raise InvalidBlochError(f"{name} must be unit length, |m| = {norms[bad[0]]}")
     return vec
 
@@ -172,60 +160,6 @@ def _require_one_axis(m, what="direction"):
     return vec
 
 
-def output_state_z(params: ClonerParams) -> np.ndarray:
-    """Constrained family output for m = z, written out entry by entry.
-
-    Basis order |00>, |01>, |10>, |11>:
-
-        (1/4) * [[1+2*eta+t, 0,            0,            0         ],
-                 [0,         1-t,          2t+2i*t_xy,   0         ],
-                 [0,         2t-2i*t_xy,   1-t,          0         ],
-                 [0,         0,            0,            1-2*eta+t ]]
-    """
-    eta, t, t_xy = params.eta, params.t, params.t_xy
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = 1.0 + 2.0 * eta + t
-    out[1, 1] = 1.0 - t
-    out[2, 2] = 1.0 - t
-    out[3, 3] = 1.0 - 2.0 * eta + t
-    out[1, 2] = 2.0 * t + 2.0j * t_xy
-    out[2, 1] = 2.0 * t - 2.0j * t_xy
-    return out / 4.0
-
-
-def rotation_taking_z_to(m) -> np.ndarray:
-    """The fixed SU(2) element mapping zhat to the unit vector m.
-
-    Minimal geodesic: U = c I - i s (n . sigma), n along zhat x m, with
-    the half-angle cosine and sine taken from whichever of 1 +- m_z does
-    not cancel: c = sqrt((1 + m_z)/2), s = |m_xy|/(2c) for m_z >= 0,
-    else s = sqrt((1 - m_z)/2), c = |m_xy|/(2s).  Two special cases:
-    m = zhat gives the identity, m = -zhat rotates by pi about xhat.
-    """
-    mx, my, mz = _require_one_axis(m)
-    rho = math.hypot(mx, my)
-    if rho < STATE_TOL:
-        if mz > 0.0:
-            return IDENTITY.copy()
-        return su2_rotation((1.0, 0.0, 0.0), np.pi)
-    if mz >= 0.0:
-        c = math.sqrt((1.0 + mz) / 2.0)
-        s = rho / (2.0 * c)
-    else:
-        s = math.sqrt((1.0 - mz) / 2.0)
-        c = rho / (2.0 * s)
-    # s (n . sigma) with n = (-m_y, m_x, 0) / |m_xy|
-    return c * IDENTITY - 1.0j * (s / rho) * (-my * SIGMA[0] + mx * SIGMA[1])
-
-
-def rotate_output(rho_z, m) -> np.ndarray:
-    """Conjugate a z-frame output by U (x) U, with U = rotation_taking_z_to(m)."""
-    arr = np.asarray(rho_z, dtype=complex)
-    u = rotation_taking_z_to(m)
-    w = tensor(u, u)
-    return w @ arr @ w.conj().T
-
-
 def bloch_rotation_z_to(m) -> np.ndarray:
     """The SO(3) rotation taking zhat to the unit vector m (minimal geodesic).
 
@@ -236,8 +170,8 @@ def bloch_rotation_z_to(m) -> np.ndarray:
              [-m_x,         -m_y,         m_z]],   f = (1 - m_z)/(m_x^2 + m_y^2).
 
     f equals 1/(1 + m_z) for unit m but stays accurate next to -zhat,
-    where 1 + m_z cancels.  Same convention as `rotation_taking_z_to`:
-    m = zhat gives the identity, m = -zhat a half turn about xhat.
+    where 1 + m_z cancels.  As in the SU(2) reference, `tests/reference.py`,
+    m = zhat gives the identity and m = -zhat a half turn about xhat.
     m of shape (3,) gives one (3, 3) matrix, a stack (N, 3) gives (N, 3, 3).
     """
     return _rotations_z_to(_require_unit_axis(m))
@@ -271,8 +205,8 @@ def output_state(params, m) -> np.ndarray:
     m of shape (3,) gives one (4, 4) state, a stack (N, 3) gives
     (N, 4, 4).  The marginals use R zhat, the normalized m.  The Bloch
     part is added to the identity before the correlation part, the
-    order the z-frame closed form uses, so that at m = zhat the result
-    matches `output_state_z` bit for bit.
+    order of the z-frame closed form in `tests/reference.py`, so that at
+    m = zhat the result matches it bit for bit.
     """
     return _output_states(params, _require_unit_axis(m))
 
@@ -335,12 +269,12 @@ def axial_covariance_residual(rho, m) -> float:
 
 
 def covariance_constraint_residual(t) -> float:
-    """How far a 3x3 correlation matrix is from the covariant z-frame form.
+    """How far a 3x3 correlation matrix, or either parameter type's, is from the z-frame form.
 
     Returns the max of |t_xx - t_yy|, |t_xy + t_yx|, |t_xz|, |t_zx|,
     |t_yz|, |t_zy|; zero exactly on matrices of the allowed structure.
     """
-    mat = np.asarray(t.t if isinstance(t, GeneralClonerParams) else t, dtype=float)
+    mat = np.asarray(t.as_matrix() if hasattr(t, "as_matrix") else t, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
     return float(

@@ -22,9 +22,11 @@ a matrix from its coefficient table and reading the table back are each
 one `einsum` against it.  Spectra come from LAPACK through
 `np.linalg.eigvalsh`, which stays accurate at any scale.
 
-Public functions validate their inputs once, at entry.  The private
-`_half_trace_norm` takes stacks (..., n, n) and validates nothing: the
-package calls it on differences of states it built itself.
+Public functions validate their inputs once, at entry, through one
+Hermiticity check.  The private `_half_trace_norm` takes stacks
+(..., n, n) and validates nothing: the package calls it on differences
+of states it built itself.  The SU(2) rotation and Bloch readout that
+only the tests use live in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -69,13 +71,9 @@ def _as_complex_square(m, dim, what):
     return arr
 
 
-def _hermiticity_residual(arr):
-    return float(np.max(np.abs(arr - arr.conj().T)))
-
-
 def _require_hermitian(m, dim, what):
     arr = _as_complex_square(m, dim, what)
-    res = _hermiticity_residual(arr)
+    res = float(np.max(np.abs(arr - arr.conj().T)))
     if res > STATE_TOL:
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
     return arr
@@ -90,9 +88,7 @@ def _eig2_hermitian(arr):
 
 
 def _require_one_qubit_state(rho, what="density matrix"):
-    arr = _as_complex_square(rho, 2, what)
-    if _hermiticity_residual(arr) > STATE_TOL:
-        raise InvalidStateError(f"{what} is not Hermitian")
+    arr = _require_hermitian(rho, 2, what)
     tr = arr[0, 0].real + arr[1, 1].real
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"{what} has trace {tr!r}, expected 1")
@@ -113,12 +109,6 @@ def bloch_to_density(m) -> np.ndarray:
     if norm > 1.0 + STATE_TOL:
         raise InvalidBlochError(f"Bloch vector norm {norm} exceeds 1")
     return (IDENTITY + vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z) / 2.0
-
-
-def density_to_bloch(rho) -> np.ndarray:
-    """Bloch vector m_j = Tr(rho sigma_j) of a valid one-qubit state."""
-    arr = _require_one_qubit_state(rho)
-    return np.array([np.trace(arr @ s).real for s in SIGMA])
 
 
 def tensor(a, b) -> np.ndarray:
@@ -240,23 +230,6 @@ def trace_distance(rho, sigma) -> float:
 def _half_trace_norm(diff):
     """Half the absolute-eigenvalue sum of Hermitian (..., n, n), eigenvalues summed descending."""
     return np.abs(np.linalg.eigvalsh(diff)[..., ::-1]).sum(axis=-1) / 2.0
-
-
-def su2_rotation(axis, angle: float) -> np.ndarray:
-    """SU(2) element cos(angle/2) I - i sin(angle/2) (axis . sigma).
-
-    Conjugation by the result rotates Bloch vectors by `angle` about
-    `axis` in the right-handed sense.
-    """
-    vec = np.asarray(axis, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise InvalidBlochError(f"rotation axis must be a finite 3-vector, got {axis!r}")
-    norm = float(np.linalg.norm(vec))
-    if norm < STATE_TOL:
-        raise InvalidBlochError("rotation axis must be non-zero")
-    vec = vec / norm
-    ns = vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
-    return np.cos(angle / 2.0) * IDENTITY - 1.0j * np.sin(angle / 2.0) * ns
 
 
 def bloch_rotation_matrix(u) -> np.ndarray:

@@ -1,0 +1,104 @@
+"""Test-only reference for the family output, and the tests' random draws.
+
+The package builds every output in the Pauli frame, rotating the
+correlation matrix in SO(3).  The functions here build the same states
+the other way and share no code with it: the z-frame state of Buzek &
+Hillery (PRA 54, 1844, 1996) written out entry by entry, conjugated by
+U (x) U with U the minimal-geodesic SU(2) element taking zhat to m.
+Those SU(2) functions use numpy and this module's Pauli matrices only.
+"""
+
+import math
+
+import numpy as np
+
+from clonebound.family import ClonerParams
+from clonebound.pauli import _require_one_qubit_state
+
+IDENTITY = np.eye(2, dtype=complex)
+SIGMA = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def random_axis(rng):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def random_params(rng):
+    eta, t, t_xy = rng.uniform(-1.0, 1.0, size=3)
+    return ClonerParams(eta=eta, t=t, t_xy=t_xy)
+
+
+def density_to_bloch(rho) -> np.ndarray:
+    """Bloch vector m_j = Tr(rho sigma_j) of a valid one-qubit state."""
+    arr = _require_one_qubit_state(rho)
+    return np.array([np.trace(arr @ s).real for s in SIGMA])
+
+
+def su2_rotation(axis, angle: float) -> np.ndarray:
+    """SU(2) element cos(angle/2) I - i sin(angle/2) (n . sigma), n = axis / |axis|.
+
+    Conjugation by the result rotates Bloch vectors by `angle` about
+    `axis` in the right-handed sense.
+    """
+    vec = np.asarray(axis, dtype=float)
+    vec = vec / float(np.linalg.norm(vec))
+    ns = vec[0] * SIGMA[0] + vec[1] * SIGMA[1] + vec[2] * SIGMA[2]
+    return np.cos(angle / 2.0) * IDENTITY - 1.0j * np.sin(angle / 2.0) * ns
+
+
+def output_state_z(params) -> np.ndarray:
+    """Constrained family output for m = z, written out entry by entry.
+
+    Basis order |00>, |01>, |10>, |11>:
+
+        (1/4) * [[1+2*eta+t, 0,            0,            0         ],
+                 [0,         1-t,          2t+2i*t_xy,   0         ],
+                 [0,         2t-2i*t_xy,   1-t,          0         ],
+                 [0,         0,            0,            1-2*eta+t ]]
+    """
+    eta, t, t_xy = params.eta, params.t, params.t_xy
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = 1.0 + 2.0 * eta + t
+    out[1, 1] = 1.0 - t
+    out[2, 2] = 1.0 - t
+    out[3, 3] = 1.0 - 2.0 * eta + t
+    out[1, 2] = 2.0 * t + 2.0j * t_xy
+    out[2, 1] = 2.0 * t - 2.0j * t_xy
+    return out / 4.0
+
+
+def rotation_taking_z_to(m) -> np.ndarray:
+    """The fixed SU(2) element mapping zhat to the unit vector m.
+
+    Minimal geodesic: U = c I - i s (n . sigma), n along zhat x m, with
+    the half-angle cosine and sine taken from whichever of 1 +- m_z does
+    not cancel: c = sqrt((1 + m_z)/2), s = |m_xy|/(2c) for m_z >= 0,
+    else s = sqrt((1 - m_z)/2), c = |m_xy|/(2s).  Two special cases:
+    m = zhat gives the identity, m = -zhat rotates by pi about xhat.
+    """
+    mx, my, mz = np.asarray(m, dtype=float)
+    rho = math.hypot(mx, my)
+    if rho < 1e-9:
+        if mz > 0.0:
+            return IDENTITY.copy()
+        return su2_rotation((1.0, 0.0, 0.0), np.pi)
+    if mz >= 0.0:
+        c = math.sqrt((1.0 + mz) / 2.0)
+        s = rho / (2.0 * c)
+    else:
+        s = math.sqrt((1.0 - mz) / 2.0)
+        c = rho / (2.0 * s)
+    # s (n . sigma) with n = (-m_y, m_x, 0) / |m_xy|
+    return c * IDENTITY - 1.0j * (s / rho) * (-my * SIGMA[0] + mx * SIGMA[1])
+
+
+def rotate_output(rho_z, m) -> np.ndarray:
+    """Conjugate a z-frame output by U (x) U, with U = rotation_taking_z_to(m)."""
+    u = rotation_taking_z_to(m)
+    w = np.kron(u, u)
+    return w @ np.asarray(rho_z, dtype=complex) @ w.conj().T

@@ -23,9 +23,7 @@ from clonebound.family import (
     covariance_constraint_residual,
     no_signaling_residual,
     output_state,
-    output_state_z,
     positivity_eigenvalues,
-    rotate_output,
 )
 from clonebound.pauli import (
     bloch_to_density,
@@ -40,6 +38,7 @@ from clonebound.signaling import (
     helstrom_projector,
     monte_carlo_signal,
 )
+from reference import output_state_z, rotate_output
 
 OPTIMUM = ClonerParams(eta=2 / 3, t=1 / 3, t_xy=0.0)
 

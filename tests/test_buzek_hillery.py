@@ -5,7 +5,7 @@ import pytest
 
 from clonebound.buzek_hillery import bh_clone, bh_family_point, bh_isometry
 from clonebound.errors import InvalidStateError
-from clonebound.family import clone_fidelity, no_signaling_residual, rotate_output
+from clonebound.family import clone_fidelity, no_signaling_residual
 from clonebound.pauli import (
     bloch_to_density,
     hermitian_eigenvalues4,
@@ -14,6 +14,7 @@ from clonebound.pauli import (
     random_rotation,
     tensor,
 )
+from reference import random_axis, rotate_output
 
 UP = bloch_to_density((0, 0, 1))
 DOWN = bloch_to_density((0, 0, -1))
@@ -22,11 +23,6 @@ PLUS = bloch_to_density((1, 0, 0))
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-
-def random_pure_axis(rng):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
 
 
 class TestIsometry:
@@ -78,7 +74,7 @@ class TestCloneMap:
     def test_swap_symmetric(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            state = bh_clone(bloch_to_density(0.9 * random_pure_axis(rng)))
+            state = bh_clone(bloch_to_density(0.9 * random_axis(rng)))
             np.testing.assert_allclose(SWAP @ state @ SWAP, state, atol=1e-14)
 
     def test_linear_in_the_input(self):
@@ -93,7 +89,7 @@ class TestCloneMap:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_both_clones_reach_five_sixths(self, seed):
-        m = random_pure_axis(np.random.default_rng(seed))
+        m = random_axis(np.random.default_rng(seed))
         rho_in = bloch_to_density(m)
         state = bh_clone(rho_in)
         for keep in (1, 2):
@@ -103,7 +99,7 @@ class TestCloneMap:
     def test_partial_traces_agree(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            state = bh_clone(bloch_to_density(random_pure_axis(rng)))
+            state = bh_clone(bloch_to_density(random_axis(rng)))
             np.testing.assert_allclose(
                 partial_trace(state, 1), partial_trace(state, 2), atol=1e-14
             )
@@ -112,14 +108,14 @@ class TestCloneMap:
         rng = np.random.default_rng(9)
         for _ in range(50):
             r = rng.uniform(0.0, 1.0)
-            state = bh_clone(bloch_to_density(r * random_pure_axis(rng)))
+            state = bh_clone(bloch_to_density(r * random_axis(rng)))
             assert hermitian_eigenvalues4(state).min() > -1e-12
 
     @pytest.mark.parametrize("seed", range(100))
     def test_covariant_under_input_rotation(self, seed):
         rng = np.random.default_rng(seed)
         u, _ = random_rotation(seed + 1000)
-        rho = bloch_to_density(rng.uniform(0, 1) * random_pure_axis(rng))
+        rho = bloch_to_density(rng.uniform(0, 1) * random_axis(rng))
         lhs = bh_clone(u @ rho @ u.conj().T)
         uu = tensor(u, u)
         rhs = uu @ bh_clone(rho) @ uu.conj().T

@@ -306,6 +306,8 @@ class TestOutputPlumbing:
         ["clone", "--input", "nan,0,0"],
         ["signal", "--axis-a", "nan,0,0"],
         ["signal", "--axis-b", "0,nan,1"],
+        ["clone", "--input", "1e400,0,0"],
+        ["signal", "--seed", "-1"],
     ])
     def test_nan_axis_fails_at_its_flag(self, capsys, argv):
         status, out, err = run(capsys, argv)
@@ -315,6 +317,7 @@ class TestOutputPlumbing:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert argv[1] in lines[0]
+        assert "array(" not in lines[0]
 
     @pytest.mark.parametrize("command", ["verify", "optimize", "clone"])
     def test_format_flag_only_where_it_acts(self, capsys, command):

@@ -6,7 +6,7 @@ import pytest
 from clonebound import family
 from clonebound.errors import InvalidBlochError
 from clonebound.family import ClonerParams, GeneralClonerParams
-from clonebound.pauli import SIGMA_X, SIGMA_Z, density_to_bloch, partial_trace, tensor
+from clonebound.pauli import SIGMA_X, SIGMA_Z, partial_trace, tensor
 from clonebound.signaling import (
     averaged_clone_output,
     helstrom_projector,
@@ -15,6 +15,7 @@ from clonebound.signaling import (
     signaling_advantage,
     singlet,
 )
+from reference import density_to_bloch, random_axis, random_params
 
 Z = (0, 0, 1)
 X = (1, 0, 0)
@@ -22,16 +23,6 @@ X = (1, 0, 0)
 # eta = 0 with an anisotropic diagonal: passes the axial structure check
 # but the two opposite-outcome sums differ by |t_zz - t_xx| = 1/3
 VIOLATOR = GeneralClonerParams(eta=0.0, t=np.diag([0.0, 0.0, 1 / 3]))
-
-
-def random_axis(rng):
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
-
-
-def random_params(rng):
-    eta, t, t_xy = rng.uniform(-1.0, 1.0, size=3)
-    return ClonerParams(eta=eta, t=t, t_xy=t_xy)
 
 
 def projector_rate(params, axis_a, axis_b):
