@@ -29,6 +29,9 @@ import numpy as np
 from .errors import InvalidResolutionError
 from .family import is_positive, min_output_eigenvalue
 
+#: the largest grid resolution accepted anywhere: one axis of it is 0.8 MB
+MAX_RESOLUTION = 100_001
+
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -100,8 +103,9 @@ def max_eta_grid(resolution: int) -> BoundResult:
     ties), tracking the true t_xy = 0 maximizer at every resolution.
     """
     resolution = int(resolution)
-    if resolution < 3:
-        raise InvalidResolutionError(f"grid resolution must be >= 3, got {resolution}")
+    if not 3 <= resolution <= MAX_RESOLUTION:
+        raise InvalidResolutionError(
+            f"grid resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
     for t in axis[::-1]:
         eta = (1.0 + t) / 2.0

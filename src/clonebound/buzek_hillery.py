@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotInFamilyError
-from .family import ClonerParams
+from .family import ClonerParams, covariance_constraint_residual
 from .pauli import ALGEBRA_TOL, _require_one_qubit_state, bloch_to_density, pauli_decompose
 
 _SQ23 = np.sqrt(2.0 / 3.0)
@@ -75,10 +75,8 @@ def bh_family_point() -> ClonerParams:
 
     off_family = max(
         abs(first[0]), abs(first[1]), abs(second[0]), abs(second[1]),
-        abs(first[2] - second[2]),
-        abs(corr[0, 0] - corr[1, 1]), abs(corr[0, 0] - corr[2, 2]),
-        abs(corr[0, 1] + corr[1, 0]),
-        abs(corr[0, 2]), abs(corr[2, 0]), abs(corr[1, 2]), abs(corr[2, 1]),
+        abs(first[2] - second[2]), abs(corr[0, 0] - corr[2, 2]),
+        covariance_constraint_residual(corr),
     )
     if off_family > ALGEBRA_TOL:
         raise NotInFamilyError(

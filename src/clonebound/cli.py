@@ -14,6 +14,10 @@ Subcommands:
     signal     analytic + Monte-Carlo axis-distinguishing experiment
     sweep      CSV feasibility landscape over (eta, t, t_xy)
 
+Each handler validates its flags and returns (exit status, output
+chunks), made as they are written: `sweep` holds one grid row at a time.
+`main` writes them, to stdout or to `--out`, created once flags are valid.
+
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
 unwritable output path).
@@ -22,24 +26,26 @@ unwritable output path).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import max_eta_closed_form, max_eta_grid
+from .bounds import MAX_RESOLUTION, max_eta_closed_form, max_eta_grid
 from .buzek_hillery import bh_clone
 from .family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
     _require_unit_axis,
+    _spectrum,
     axial_covariance_residual,
     covariance_constraint_residual,
     is_positive,
     min_output_eigenvalue,
     no_signaling_residual,
-    positivity_eigenvalues,
     template_state_z,
 )
 from .pauli import (
@@ -49,10 +55,10 @@ from .pauli import (
     partial_trace,
     pauli_decompose,
 )
-from .serialize import complex_matrix_to_json, csv_lines, dump_json
+from .serialize import complex_matrix_to_json, csv_lines, dump_json, json_chunks
 from .signaling import monte_carlo_signal
 
-#: documented defaults for every flag of every subcommand; the committed
+#: the parser's default for every flag of every subcommand; the committed
 #: reference-config.json at the repository root mirrors this table
 DEFAULTS = {
     "verify": {
@@ -99,6 +105,18 @@ def _vector3(text: str) -> np.ndarray:
     return np.array([_number(p) for p in parts])
 
 
+def _resolution(args) -> int:
+    resolution = int(args.resolution)
+    if not 3 <= resolution <= MAX_RESOLUTION:
+        raise _UsageError(f"--resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
+    return resolution
+
+
+def _csv(header, rows):
+    """`csv_lines` as LF-terminated chunks."""
+    return (line + "\n" for line in csv_lines(header, rows))
+
+
 def _params_from_args(args) -> object:
     """Build ClonerParams, or GeneralClonerParams when --t_diag is given."""
     eta = _number(args.eta)
@@ -137,11 +155,11 @@ def _cmd_verify(args):
         **checks,
         "pass": all(checks.values()),
     }
-    return (0 if report["pass"] else 1), dump_json(report)
+    return (0 if report["pass"] else 1), [dump_json(report)]
 
 
 def _cmd_optimize(args):
-    resolution = int(args.resolution)
+    resolution = _resolution(args)
     report = {"command": "optimize", "closed_form": None, "grid": None,
               "resolution": None, "discrepancy": None}
     closed = max_eta_closed_form()
@@ -153,7 +171,7 @@ def _cmd_optimize(args):
         report["resolution"] = resolution
         # never negative: the grid cannot beat the analytic optimum
         report["discrepancy"] = closed.eta_max - grid.eta_max
-    return 0, dump_json(report)
+    return 0, [dump_json(report)]
 
 
 def _cmd_clone(args):
@@ -173,7 +191,7 @@ def _cmd_clone(args):
         "fidelity_clone2": overlap_fidelity(rho_in, partial_trace(pair, 2)),
         "trace": float(np.trace(pair).real),
     }
-    return 0, dump_json(report)
+    return 0, [dump_json(report)]
 
 
 _SIGNAL_CSV_HEADER = (
@@ -201,7 +219,7 @@ def _cmd_signal(args):
             "" if report.mc_estimate is None else report.mc_estimate,
             report.mc_shots, report.seed, report.physical,
         )
-        return 0, "\n".join(csv_lines(_SIGNAL_CSV_HEADER, [row])) + "\n"
+        return 0, _csv(_SIGNAL_CSV_HEADER, [row])
     payload = {
         "command": "signal",
         **params.to_json_dict(),
@@ -214,7 +232,7 @@ def _cmd_signal(args):
         "seed": report.seed,
         "physical": report.physical,
     }
-    return 0, dump_json(payload)
+    return 0, [dump_json(payload)]
 
 
 _SWEEP_HEADER = (
@@ -223,53 +241,40 @@ _SWEEP_HEADER = (
 
 
 def _sweep_rows(resolution: int):
+    """Rows over the (eta, t, t_xy) grid, one `_spectrum` call per t_xy row."""
     axis = np.linspace(-1.0, 1.0, resolution)
-    for eta in axis:
-        for t in axis:
-            for t_xy in axis:
-                lams = positivity_eigenvalues(ClonerParams(eta, t, t_xy))
-                yield (
-                    float(eta), float(t), float(t_xy),
-                    lams.lam1, lams.lam2, lams.lam3, lams.lam4,
-                    is_positive(lams.min()),
-                    (1.0 + float(eta)) / 2.0,
-                )
+    values = axis.tolist()
+    for eta in values:
+        fidelity = (1.0 + eta) / 2.0
+        for t in values:
+            lams = _spectrum(eta, t, axis)
+            for row in zip(values, *lams.tolist(), is_positive(lams[3]).tolist()):
+                yield (eta, t, *row, fidelity)
 
 
 def _cmd_sweep(args):
-    resolution = int(args.resolution)
-    if resolution < 3:
-        raise _UsageError(f"--resolution must be >= 3, got {resolution}")
+    resolution = _resolution(args)
     rows = _sweep_rows(resolution)
-    if args.format == "json":
-        payload = {
-            "command": "sweep",
-            "resolution": resolution,
-            "header": list(_SWEEP_HEADER),
-            "rows": [list(r) for r in rows],
-        }
-        return 0, dump_json(payload)
-    return 0, "\n".join(csv_lines(_SWEEP_HEADER, rows)) + "\n"
+    if args.format == "csv":
+        return 0, _csv(_SWEEP_HEADER, rows)
+    head = {"command": "sweep", "resolution": resolution, "header": list(_SWEEP_HEADER)}
+    return 0, json_chunks(head, "rows", rows)
 
 
-def _add_params_flags(sub, command):
-    d = DEFAULTS[command]
-    sub.add_argument("--eta", default=str(d["eta"]), help="shrink factor")
-    sub.add_argument("--t", default=str(d["t"]),
-                     help="isotropic correlation t_xx = t_yy = t_zz")
-    sub.add_argument("--t_xy", default=str(d["t_xy"]),
-                     help="antisymmetric xy correlation (t_xy = -t_yx)")
-    sub.add_argument("--t_diag", default=d["t_diag"], metavar="a,b,c",
+def _add_params_flags(sub):
+    sub.add_argument("--eta", help="shrink factor")
+    sub.add_argument("--t", help="isotropic correlation t_xx = t_yy = t_zz")
+    sub.add_argument("--t_xy", help="antisymmetric xy correlation (t_xy = -t_yx)")
+    sub.add_argument("--t_diag", metavar="a,b,c",
                      help="diagonal 3x3 correlation matrix instead of --t/--t_xy")
 
 
-def _add_output_flags(sub, command):
-    d = DEFAULTS[command]
-    if "format" in d:
-        sub.add_argument("--format", choices=("json", "csv"), default=d["format"],
-                         help="output format")
-    sub.add_argument("--out", default=d["out"], metavar="PATH",
-                     help="write output to PATH instead of stdout")
+def _add_output_flags(sub, command, handler):
+    """The output flags, last in --help; then the handler and every flag's default."""
+    if "format" in DEFAULTS[command]:
+        sub.add_argument("--format", choices=("json", "csv"), help="output format")
+    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    sub.set_defaults(handler=handler, **DEFAULTS[command])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,52 +296,37 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser(
         "verify", formatter_class=fmt,
         help="run the constraint suite on a parameter point")
-    _add_params_flags(verify, "verify")
-    _add_output_flags(verify, "verify")
-    verify.set_defaults(handler=_cmd_verify)
+    _add_params_flags(verify)
+    _add_output_flags(verify, "verify", _cmd_verify)
 
     optimize = subs.add_parser(
         "optimize", formatter_class=fmt,
         help="maximal shrink factor, closed form and grid")
-    optimize.add_argument("--method", choices=("closed_form", "grid", "both"),
-                          default=DEFAULTS["optimize"]["method"])
-    optimize.add_argument("--resolution", type=int,
-                          default=DEFAULTS["optimize"]["resolution"],
-                          help="grid points per axis")
-    _add_output_flags(optimize, "optimize")
-    optimize.set_defaults(handler=_cmd_optimize)
+    optimize.add_argument("--method", choices=("closed_form", "grid", "both"))
+    optimize.add_argument("--resolution", type=int, help="grid points per axis")
+    _add_output_flags(optimize, "optimize", _cmd_optimize)
 
     clone = subs.add_parser(
         "clone", formatter_class=fmt,
         help="clone a pure input direction with the universal machine")
-    clone.add_argument("--input", default=DEFAULTS["clone"]["input"],
-                       metavar="x,y,z", help="unit Bloch vector to clone")
-    _add_output_flags(clone, "clone")
-    clone.set_defaults(handler=_cmd_clone)
+    clone.add_argument("--input", metavar="x,y,z", help="unit Bloch vector to clone")
+    _add_output_flags(clone, "clone", _cmd_clone)
 
     signal = subs.add_parser(
         "signal", formatter_class=fmt,
         help="axis-distinguishing experiment, analytic and Monte Carlo")
-    _add_params_flags(signal, "signal")
-    signal.add_argument("--axis-a", default=DEFAULTS["signal"]["axis_a"],
-                        metavar="x,y,z", help="Alice's first axis choice")
-    signal.add_argument("--axis-b", default=DEFAULTS["signal"]["axis_b"],
-                        metavar="x,y,z", help="Alice's second axis choice")
-    signal.add_argument("--shots", type=int, default=DEFAULTS["signal"]["shots"],
-                        help="Monte-Carlo rounds")
-    signal.add_argument("--seed", type=int, default=DEFAULTS["signal"]["seed"],
-                        help="generator seed")
-    _add_output_flags(signal, "signal")
-    signal.set_defaults(handler=_cmd_signal)
+    _add_params_flags(signal)
+    signal.add_argument("--axis-a", metavar="x,y,z", help="Alice's first axis choice")
+    signal.add_argument("--axis-b", metavar="x,y,z", help="Alice's second axis choice")
+    signal.add_argument("--shots", type=int, help="Monte-Carlo rounds")
+    signal.add_argument("--seed", type=int, help="generator seed")
+    _add_output_flags(signal, "signal", _cmd_signal)
 
     sweep = subs.add_parser(
         "sweep", formatter_class=fmt,
         help="feasibility landscape over (eta, t, t_xy)")
-    sweep.add_argument("--resolution", type=int,
-                       default=DEFAULTS["sweep"]["resolution"],
-                       help="grid points per axis (rows = resolution^3)")
-    _add_output_flags(sweep, "sweep")
-    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.add_argument("--resolution", type=int, help="grid points per axis (rows = resolution^3)")
+    _add_output_flags(sweep, "sweep", _cmd_sweep)
 
     return parser
 
@@ -345,18 +335,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status, text = args.handler(args)
+        status, chunks = args.handler(args)
     except ValueError as exc:  # _UsageError and CloneBoundError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is None:
-        sys.stdout.write(text)
-        return status
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="\n")) as stream:
+            stream.writelines(chunks)
+    except BrokenPipeError:
+        # the reader left early (`| head`): stop quietly; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
-        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+        target = "stdout" if args.out is None else repr(args.out)
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -26,4 +26,4 @@ class NotInFamilyError(CloneBoundError):
 
 
 class InvalidResolutionError(CloneBoundError):
-    """Grid resolution below the minimum needed for a meaningful scan."""
+    """Grid resolution outside [3, bounds.MAX_RESOLUTION]."""

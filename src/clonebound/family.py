@@ -18,7 +18,10 @@ minimal-geodesic SO(3) rotation taking zhat to m (`bloch_rotation_z_to`),
 both marginals point along eta*m and the correlation matrix is R t R^T,
 i.e. it co-rotates with the input direction, which is what universality
 means operationally.  Every output is therefore a U (x) U conjugate of
-the z-frame template and shares its spectrum.
+the z-frame template and shares its spectrum.  For constrained points
+that spectrum has one closed form, `_spectrum`, which broadcasts over
+arrays: `positivity_eigenvalues` takes it per point and the CLI sweep
+per grid row.
 
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
 per row.  Public functions validate them once; the private builders
@@ -313,25 +316,23 @@ def _opposite_outputs(params, a, b):
     return outputs, outputs[0] + outputs[1] - (outputs[2] + outputs[3])
 
 
-def positivity_eigenvalues(params: ClonerParams) -> PositivityEigenvalues:
-    """Closed-form eigenvalues of the constrained output, descending.
+def _spectrum(eta, t, t_xy):
+    """The closed-form output eigenvalues, descending along the first axis.
 
     The z-frame matrix block-diagonalizes: the outer levels are
     (1 +- 2 eta + t)/4 and the central 2x2 block contributes
-    (1 - t +- 2 sqrt(t^2 + t_xy^2))/4.
+    (1 - t +- 2 sqrt(t^2 + t_xy^2))/4.  eta, t and t_xy broadcast, and
+    the result has shape (4,) + their broadcast shape.
     """
-    eta, t, t_xy = params.eta, params.t, params.t_xy
     pair = 2.0 * np.hypot(t, t_xy)
-    values = sorted(
-        (
-            (1.0 + 2.0 * eta + t) / 4.0,
-            (1.0 - 2.0 * eta + t) / 4.0,
-            (1.0 - t + pair) / 4.0,
-            (1.0 - t - pair) / 4.0,
-        ),
-        reverse=True,
-    )
-    return PositivityEigenvalues(*values)
+    levels = np.broadcast_arrays((1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0,
+                                 (1.0 - t + pair) / 4.0, (1.0 - t - pair) / 4.0)
+    return np.sort(levels, axis=0)[::-1]
+
+
+def positivity_eigenvalues(params: ClonerParams) -> PositivityEigenvalues:
+    """`_spectrum` of a constrained family point, descending."""
+    return PositivityEigenvalues(*_spectrum(params.eta, params.t, params.t_xy).tolist())
 
 
 def clone_fidelity(params) -> float:

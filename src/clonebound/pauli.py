@@ -79,20 +79,12 @@ def _require_hermitian(m, dim, what):
     return arr
 
 
-def _eig2_hermitian(arr):
-    """Eigenvalues of a 2x2 Hermitian matrix, closed form, descending."""
-    half_trace = (arr[0, 0].real + arr[1, 1].real) / 2.0
-    det = (arr[0, 0].real * arr[1, 1].real) - (arr[0, 1] * arr[1, 0]).real
-    gap = np.sqrt(max(half_trace * half_trace - det, 0.0))
-    return half_trace + gap, half_trace - gap
-
-
 def _require_one_qubit_state(rho, what="density matrix"):
     arr = _require_hermitian(rho, 2, what)
     tr = arr[0, 0].real + arr[1, 1].real
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"{what} has trace {tr!r}, expected 1")
-    lo = _eig2_hermitian(arr)[1]
+    lo = np.linalg.eigvalsh(arr)[0]
     if lo < -STATE_TOL:
         raise InvalidStateError(f"{what} has negative eigenvalue {lo:.3e}")
     return arr

@@ -57,6 +57,19 @@ def dump_json(value, digits: int = JSON_DIGITS) -> str:
     return _emit(value, digits) + "\n"
 
 
+def json_chunks(head: dict, key: str, items):
+    """`dump_json({**head, key: list(items)})` in pieces, one per item.
+
+    `key` sorts after every key of `head`, so the list closes the object
+    and the items are never all in memory.
+    """
+    assert all(k < key for k in head), f"{key!r} must sort after the other keys"
+    yield _emit(head, JSON_DIGITS)[:-1] + (", " if head else "") + json.dumps(key) + ": ["
+    for i, item in enumerate(items):
+        yield (", " if i else "") + _emit(item, JSON_DIGITS)
+    yield "]}\n"
+
+
 def complex_matrix_to_json(matrix) -> list:
     """Nested lists of [re, im] pairs for a complex matrix."""
     arr = np.asarray(matrix, dtype=complex)

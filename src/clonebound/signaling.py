@@ -43,13 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .family import (
-    _opposite_outputs,
-    _output_states,
-    _require_one_axis,
-    is_positive,
-    min_output_eigenvalue,
-)
+from .bounds import feasible
+from .family import _opposite_outputs, _output_states, _require_one_axis
 from .pauli import _half_trace_norm, bloch_to_density
 
 #: Monte Carlo rounds drawn at a time, so memory stays fixed for any shot count
@@ -111,8 +106,7 @@ def averaged_clone_output(params, axis) -> np.ndarray:
 
 def _report(params, a, b, difference) -> SignalReport:
     dist = float(_half_trace_norm(difference))
-    physical = bool(is_positive(min_output_eigenvalue(params)))
-    return SignalReport(a, b, dist, 0.5 + dist / 4.0, physical=physical)
+    return SignalReport(a, b, dist, 0.5 + dist / 4.0, physical=feasible(params))
 
 
 def _helstrom(difference) -> np.ndarray:
@@ -128,7 +122,7 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
     `trace_distance` is computed between the two opposite-outcome sums
     (so for diagonal correlation matrices and axes (zhat, xhat) it
     equals |t_zz - t_xx|); the guessing rate is 1/2 + D/4.
-    `physical` is `is_positive` on the outputs' shared spectrum.
+    `physical` is `bounds.feasible`: `is_positive` on the outputs' shared spectrum.
     """
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")

@@ -1,4 +1,4 @@
-"""Test-only reference for the family output, and the tests' random draws.
+"""Test-only references for the family output and the sweep, and the tests' random draws.
 
 The package builds every output in the Pauli frame, rotating the
 correlation matrix in SO(3).  The functions here build the same states
@@ -6,14 +6,17 @@ the other way and share no code with it: the z-frame state of Buzek &
 Hillery (PRA 54, 1844, 1996) written out entry by entry, conjugated by
 U (x) U with U the minimal-geodesic SU(2) element taking zhat to m.
 Those SU(2) functions use numpy and this module's Pauli matrices only.
+`sweep_output` builds the `clone-bound sweep` bytes one grid point at a
+time, as one string.
 """
 
 import math
 
 import numpy as np
 
-from clonebound.family import ClonerParams
+from clonebound.family import ClonerParams, is_positive, positivity_eigenvalues
 from clonebound.pauli import _require_one_qubit_state
+from clonebound.serialize import csv_lines, dump_json
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA = (
@@ -102,3 +105,27 @@ def rotate_output(rho_z, m) -> np.ndarray:
     u = rotation_taking_z_to(m)
     w = np.kron(u, u)
     return w @ np.asarray(rho_z, dtype=complex) @ w.conj().T
+
+
+SWEEP_HEADER = ("eta", "t", "t_xy", "lam1", "lam2", "lam3", "lam4", "feasible", "fidelity")
+
+
+def sweep_output(resolution, fmt):
+    """`clone-bound sweep --resolution R --format fmt` stdout, point by point.
+
+    One ClonerParams and one positivity_eigenvalues call per grid point,
+    then `csv_lines` or one `dump_json` of the whole payload.
+    """
+    axis = np.linspace(-1.0, 1.0, resolution)
+    rows = []
+    for eta in axis:
+        for t in axis:
+            for t_xy in axis:
+                lams = positivity_eigenvalues(ClonerParams(eta, t, t_xy))
+                rows.append((float(eta), float(t), float(t_xy),
+                             lams.lam1, lams.lam2, lams.lam3, lams.lam4,
+                             is_positive(lams.min()), (1.0 + float(eta)) / 2.0))
+    if fmt == "json":
+        return dump_json({"command": "sweep", "resolution": resolution,
+                          "header": list(SWEEP_HEADER), "rows": [list(r) for r in rows]})
+    return "\n".join(csv_lines(SWEEP_HEADER, rows)) + "\n"

@@ -80,6 +80,9 @@ class TestGrid:
             max_eta_grid(resolution=2)
         with pytest.raises(InvalidResolutionError):
             max_eta_grid(resolution=0)
+        # above MAX_RESOLUTION: refused before the axis is allocated
+        with pytest.raises(InvalidResolutionError):
+            max_eta_grid(10 ** 9)
 
     def test_coarsest_grid_by_hand(self):
         # resolution 3 samples t and t_xy in {-1, 0, 1}; the best feasible

@@ -6,6 +6,10 @@ exercised exactly as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ from clonebound.bounds import feasible
 from clonebound.family import ClonerParams, GeneralClonerParams, is_positive
 from clonebound.serialize import dump_json
 from clonebound.signaling import averaged_clone_output, helstrom_projector
+from reference import sweep_output
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -256,6 +261,30 @@ class TestSweep:
         assert status == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("resolution", [3, 4, 5, 7])
+    def test_matches_point_by_point_reference(self, capsys, resolution, fmt):
+        status, out, _ = run(capsys, ["sweep", "--resolution", str(resolution), "--format", fmt])
+        assert status == 0
+        assert out == sweep_output(resolution, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_one_row(self, tmp_path, fmt):
+        def peak(resolution):
+            argv = ["sweep", "--resolution", str(resolution), "--format", fmt,
+                    "--out", str(tmp_path / "sweep")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # first-call allocations (imports, caches) stay out of the ratio
+        # doubling R gives 8x the points, and output held whole ~6-7x the
+        # peak; R = 41 against 21 reads the same at ~40x the traced time
+        assert peak(12) <= 1.5 * peak(6)
+
 
 class TestOutputPlumbing:
     def test_out_flag_writes_file(self, capsys, tmp_path):
@@ -308,6 +337,8 @@ class TestOutputPlumbing:
         ["signal", "--axis-b", "0,nan,1"],
         ["clone", "--input", "1e400,0,0"],
         ["signal", "--seed", "-1"],
+        ["optimize", "--resolution", "1000000000"],
+        ["sweep", "--resolution", "1000000000"],
     ])
     def test_nan_axis_fails_at_its_flag(self, capsys, argv):
         status, out, err = run(capsys, argv)
@@ -318,6 +349,30 @@ class TestOutputPlumbing:
         assert lines[0].startswith("error: ")
         assert argv[1] in lines[0]
         assert "array(" not in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--eta", "2"],
+        ["sweep", "--resolution", "2"],
+    ])
+    def test_usage_error_creates_no_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "report"
+        status, _, err = run(capsys, [*argv, "--out", str(target)])
+        assert status == 2
+        assert err.startswith("error: ")
+        assert not target.exists()
+
+    def test_closed_stdout_pipe_is_quiet(self):
+        # `clone-bound sweep --resolution 30 | head -c 20`: the reader leaves
+        # while rows are still being written
+        with subprocess.Popen(
+            [sys.executable, "-m", "clonebound", "sweep", "--resolution", "30"],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (head, err, proc.returncode) == (b"eta,t,t_xy,lam1,lam2", b"", 0)
 
     @pytest.mark.parametrize("command", ["verify", "optimize", "clone"])
     def test_format_flag_only_where_it_acts(self, capsys, command):
@@ -402,8 +457,13 @@ class TestDeterminism:
         assert first[1] != ""
 
     def test_file_output_is_byte_identical(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, ["signal", "--shots", "5000", "--out", str(a)])
-        run(capsys, ["signal", "--shots", "5000", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes().endswith(b"\n")
+        # stdout and --out are the two sinks of one write path
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        for argv in (["signal", "--shots", "5000"],
+                     ["sweep", "--resolution", "5", "--format", "csv"],
+                     ["sweep", "--resolution", "5", "--format", "json"]):
+            run(capsys, [*argv, "--out", str(a)])
+            run(capsys, [*argv, "--out", str(b)])
+            _, stdout, _ = run(capsys, argv)
+            assert a.read_bytes() == b.read_bytes() == stdout.encode("utf-8"), argv
+            assert a.read_bytes().endswith(b"\n")
