@@ -15,8 +15,10 @@ Subcommands:
     sweep      CSV feasibility landscape over (eta, t, t_xy)
 
 Each handler validates its flags and returns (exit status, output
-chunks), made as they are written: `sweep` holds one grid row at a time.
-`main` writes them, to stdout or to `--out`, created once flags are valid.
+chunks), made as they are written: `sweep` makes one chunk per (eta, t)
+block of `--resolution` rows, handing `serialize.Table` columns to
+format, so its memory is one block of text.  `main` writes the chunks,
+to stdout or to `--out`, created once flags are valid.
 
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
@@ -55,7 +57,7 @@ from .pauli import (
     partial_trace,
     pauli_decompose,
 )
-from .serialize import complex_matrix_to_json, csv_lines, dump_json, json_chunks
+from .serialize import Table, complex_matrix_to_json, csv_lines, dump_json
 from .signaling import monte_carlo_signal
 
 #: the parser's default for every flag of every subcommand; the committed
@@ -240,25 +242,27 @@ _SWEEP_HEADER = (
 )
 
 
-def _sweep_rows(resolution: int):
-    """Rows over the (eta, t, t_xy) grid, one `_spectrum` call per t_xy row."""
+def _sweep_blocks(table, resolution: int):
+    """Column blocks over the (eta, t, t_xy) grid, one `_spectrum` call per (eta, t).
+
+    The axis values and fidelities take R distinct values, so their cell
+    text is made once; each block formats only its four eigenvalue columns.
+    """
     axis = np.linspace(-1.0, 1.0, resolution)
+    cells = table.floats(axis)
+    fidelities = table.floats((1.0 + axis) / 2.0)
     values = axis.tolist()
-    for eta in values:
-        fidelity = (1.0 + eta) / 2.0
-        for t in values:
+    for eta, eta_cell, fidelity in zip(values, cells, fidelities):
+        for t, t_cell in zip(values, cells):
             lams = _spectrum(eta, t, axis)
-            for row in zip(values, *lams.tolist(), is_positive(lams[3]).tolist()):
-                yield (eta, t, *row, fidelity)
+            yield (eta_cell, t_cell, cells, *table.floats(lams),
+                   table.flags(is_positive(lams[3])), fidelity)
 
 
 def _cmd_sweep(args):
     resolution = _resolution(args)
-    rows = _sweep_rows(resolution)
-    if args.format == "csv":
-        return 0, _csv(_SWEEP_HEADER, rows)
-    head = {"command": "sweep", "resolution": resolution, "header": list(_SWEEP_HEADER)}
-    return 0, json_chunks(head, "rows", rows)
+    table = Table(args.format, _SWEEP_HEADER, {"command": "sweep", "resolution": resolution})
+    return 0, table.chunks(_sweep_blocks(table, resolution))
 
 
 def _add_params_flags(sub):

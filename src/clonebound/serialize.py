@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV emission for reports and states.
+"""Deterministic JSON and CSV emission for reports, states and tables.
 
 The JSON emitter is hand-rolled so that float formatting is pinned:
 numbers are written with 17 significant digits (enough to round-trip a
@@ -6,11 +6,17 @@ double exactly), keys are sorted, and the byte stream depends only on
 the values.  CSV values use 9 significant digits, '.' decimal points,
 and LF line endings; complex matrices serialize as nested arrays of
 [re, im] pairs.
+
+`format_floats` is the one float-to-text rule, a column at a time: a
+report's single float is its one-value case.  `Table` writes long tables
+(the CLI sweep) in blocks of rows: each distinct cell is formatted once
+per column and the rows are joined from the cell strings.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -18,14 +24,18 @@ JSON_DIGITS = 17
 CSV_DIGITS = 9
 
 
-def _format_float(value: float, digits: int) -> str:
-    if value != value:  # NaN never belongs in a report
+def format_floats(values, digits: int) -> list:
+    """The text of every float in `values`, flattened, at `digits` significant digits.
+
+    NaN never belongs in a report, so a column holding one is refused
+    whole; zero of either sign prints as "0", so identical values emit
+    identical bytes.
+    """
+    column = np.asarray(values, dtype=float)
+    if np.isnan(column).any():
         raise ValueError("refusing to serialize NaN")
-    text = format(float(value), f".{digits}g")
-    # normalize negative zero so identical values emit identical bytes
-    if text == "-0":
-        text = "0"
-    return text
+    spec = f".{digits}g"
+    return [format(v, spec) if v else "0" for v in column.ravel().tolist()]
 
 
 def _emit(value, digits: int) -> str:
@@ -36,7 +46,7 @@ def _emit(value, digits: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(value, digits)
+        return format_floats(value, digits)[0]
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -57,19 +67,6 @@ def dump_json(value, digits: int = JSON_DIGITS) -> str:
     return _emit(value, digits) + "\n"
 
 
-def json_chunks(head: dict, key: str, items):
-    """`dump_json({**head, key: list(items)})` in pieces, one per item.
-
-    `key` sorts after every key of `head`, so the list closes the object
-    and the items are never all in memory.
-    """
-    assert all(k < key for k in head), f"{key!r} must sort after the other keys"
-    yield _emit(head, JSON_DIGITS)[:-1] + (", " if head else "") + json.dumps(key) + ": ["
-    for i, item in enumerate(items):
-        yield (", " if i else "") + _emit(item, JSON_DIGITS)
-    yield "]}\n"
-
-
 def complex_matrix_to_json(matrix) -> list:
     """Nested lists of [re, im] pairs for a complex matrix."""
     arr = np.asarray(matrix, dtype=complex)
@@ -83,7 +80,7 @@ def csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(value, CSV_DIGITS)
+        return format_floats(value, CSV_DIGITS)[0]
     return str(value)
 
 
@@ -92,3 +89,51 @@ def csv_lines(header, rows):
     yield ",".join(header)
     for row in rows:
         yield ",".join(csv_cell(v) for v in row)
+
+
+class Table:
+    """A table's text in one format, written a block of rows at a time.
+
+    CSV is the header line, then one line per row with flags as 0/1.
+    JSON is `dump_json({**head, "header": header, "rows": rows})`, with
+    flags as false/true.  A block is a sequence of columns of cell text,
+    from `floats` and `flags`; a single string is one cell repeated on
+    every row of the block.
+    """
+
+    def __init__(self, fmt: str, header, head: dict):
+        if fmt == "csv":
+            self._digits, self._flag_words = CSV_DIGITS, ("0", "1")
+            self._start, self._end = ",".join(header) + "\n", ""
+            self._cell, self._open, self._close, self._between = ",", "", "\n", ""
+        else:
+            head = {**head, "header": list(header)}
+            assert all(k < "rows" for k in head), "rows must close the object"
+            self._digits, self._flag_words = JSON_DIGITS, ("false", "true")
+            self._start, self._end = _emit(head, JSON_DIGITS)[:-1] + ', "rows": [', "]}\n"
+            self._cell, self._open, self._close, self._between = ", ", "[", "]", ", "
+
+    def floats(self, values) -> list:
+        """Cell text of a float column, or one column per row of a 2-D array."""
+        values = np.asarray(values, dtype=float)
+        cells = format_floats(values, self._digits)
+        if values.ndim < 2:
+            return cells
+        n = values.shape[-1]
+        return [cells[i:i + n] for i in range(0, len(cells), n)]
+
+    def flags(self, values) -> list:
+        words = self._flag_words
+        return [words[v] for v in np.asarray(values, dtype=bool).ravel().tolist()]
+
+    def chunks(self, blocks):
+        """The table's text: the start, one chunk per block of columns, the end."""
+        yield self._start
+        row_break = self._close + self._between + self._open
+        between = ""
+        for columns in blocks:
+            cells = (repeat(c) if isinstance(c, str) else c for c in columns)
+            rows = map(self._cell.join, zip(*cells))
+            yield between + self._open + row_break.join(rows) + self._close
+            between = self._between
+        yield self._end

@@ -114,7 +114,10 @@ def sweep_output(resolution, fmt):
     """`clone-bound sweep --resolution R --format fmt` stdout, point by point.
 
     One ClonerParams and one positivity_eigenvalues call per grid point,
-    then `csv_lines` or one `dump_json` of the whole payload.
+    then `csv_lines` or one `dump_json` of the whole payload.  Both render
+    floats through `serialize.format_floats`, as the sweep does, so this
+    reference cannot catch a formatting slip; the sha256 digests of the
+    default sweep in `test_cli.py` pin the bytes independently of it.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
     rows = []

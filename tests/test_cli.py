@@ -5,6 +5,7 @@ path the console script takes, so exit codes and byte-level output are
 exercised exactly as a shell user would see them.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,19 @@ class TestSweep:
         status, out, _ = run(capsys, ["sweep", "--resolution", str(resolution), "--format", fmt])
         assert status == 0
         assert out == sweep_output(resolution, fmt)
+
+    @pytest.mark.parametrize("fmt, size, digest", [
+        ("csv", 179436, "9d66a7b7834ce42446760f38662898be8ac0e8f6ffd2751849905fb6d4144c09"),
+        ("json", 318049, "282c3a8e49a50563bc6353ab23779855d7c5d885653a13d22a19b043b301740c"),
+    ], ids=["csv", "json"])
+    def test_default_output_is_pinned(self, capsys, fmt, size, digest):
+        # the bytes of the point-by-point sweep before it was written by
+        # columns; `sweep_output` shares the float formatter, these do not
+        status, out, _ = run(capsys, ["sweep", "--format", fmt])
+        assert status == 0
+        data = out.encode("utf-8")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_is_one_row(self, tmp_path, fmt):

@@ -1,0 +1,56 @@
+"""The float-to-text rule and the block table writer of `serialize`."""
+
+import math
+
+import numpy as np
+import pytest
+
+from clonebound.serialize import CSV_DIGITS, JSON_DIGITS, Table, csv_lines, dump_json, format_floats
+
+DIGITS = [CSV_DIGITS, JSON_DIGITS]
+
+
+class TestFormatFloats:
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_negative_zero_prints_as_zero(self, digits):
+        assert format_floats([-0.0, 0.0], digits) == ["0", "0"]
+        assert dump_json(-0.0, digits) == "0\n"
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_nan_column_is_refused(self, digits):
+        with pytest.raises(ValueError, match="NaN"):
+            format_floats(np.array([[0.5, 1.0], [math.nan, 2.0]]), digits)
+        with pytest.raises(ValueError, match="NaN"):
+            dump_json([1.0, math.nan], digits)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_matches_format_per_value(self, digits):
+        values = [5e-324, 1e-300, 1 / 3, -2 / 3, 0.1 + 0.2, 1e16, 1e22]
+        expected = [format(v, f".{digits}g") for v in values]
+        assert format_floats(values, digits) == expected
+        assert format_floats(np.array(values).reshape(1, 7), digits) == expected
+        assert [format_floats(v, digits)[0] for v in values] == expected
+
+
+class TestTable:
+    HEADER = ("x", "y", "ok", "label")
+
+    def blocks(self, table):
+        # cell text: repeated strings, float and flag columns; integers as strings
+        yield (*table.floats([[1 / 3, -0.0]]), table.floats([0.1, 2.5]),
+               table.flags(np.array([True, False])), "7")
+        yield ("8", table.floats([1e22]), table.flags([True]), "9")
+
+    ROWS = [(1 / 3, 0.1, True, 7), (0.0, 2.5, False, 7), (8, 1e22, True, 9)]
+
+    def test_csv_is_csv_lines(self):
+        table = Table("csv", self.HEADER, {"command": "demo"})
+        text = "".join(table.chunks(self.blocks(table)))
+        assert text == "\n".join(csv_lines(self.HEADER, self.ROWS)) + "\n"
+
+    def test_json_is_dump_json(self):
+        head = {"command": "demo", "resolution": 2}
+        table = Table("json", self.HEADER, head)
+        text = "".join(table.chunks(self.blocks(table)))
+        whole = {**head, "header": list(self.HEADER), "rows": [list(r) for r in self.ROWS]}
+        assert text == dump_json(whole)
