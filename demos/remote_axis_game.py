@@ -46,7 +46,7 @@ def main():
     print(f"trace distance: {rep.trace_distance:.12f}")
     print(f"best guess rate: {rep.helstrom_probability:.12f}")
 
-    print("\nfinite statistics, Bob measuring each round (seed 11):")
+    print("\nfinite statistics, the game's counts drawn by the Born rule (seed 11):")
     print(f"{'shots':>9} {'estimate':>10} {'|est - 7/12|':>12} {'3 sigma':>9}")
     for shots in (100, 1000, 10_000, 100_000):
         mc = monte_carlo_signal(unlawful, Z, X, shots=shots, seed=11)

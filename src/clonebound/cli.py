@@ -58,7 +58,7 @@ from .pauli import (
     pauli_decompose,
 )
 from .serialize import Table, complex_matrix_to_json, csv_lines, dump_json
-from .signaling import monte_carlo_signal
+from .signaling import MAX_SHOTS, monte_carlo_signal
 
 #: the parser's default for every flag of every subcommand; the committed
 #: reference-config.json at the repository root mirrors this table
@@ -88,8 +88,8 @@ class _UsageError(ValueError):
     pass
 
 
-def _number(text: str) -> float:
-    """Parse a decimal or fraction string ("0.25", "2/3", "-1/3") to float."""
+def _number(text: str, flag: str) -> float:
+    """Parse a decimal or fraction string ("0.25", "2/3", "-1/3") to float for `flag`."""
     try:
         return float(text)
     except ValueError:
@@ -97,14 +97,16 @@ def _number(text: str) -> float:
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"not a number: {text!r}") from exc
+        raise _UsageError(f"{flag} is not a number: {text!r}") from exc
+    except OverflowError as exc:  # a fraction past the float range; a decimal reads as inf
+        raise _UsageError(f"{flag} is beyond the float range: {text!r}") from exc
 
 
-def _vector3(text: str) -> np.ndarray:
+def _vector3(text: str, flag: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _UsageError(f"expected three comma-separated components, got {text!r}")
-    return np.array([_number(p) for p in parts])
+        raise _UsageError(f"{flag} must be three comma-separated components, got {text!r}")
+    return np.array([_number(p, flag) for p in parts])
 
 
 def _resolution(args) -> int:
@@ -121,13 +123,13 @@ def _csv(header, rows):
 
 def _params_from_args(args) -> object:
     """Build ClonerParams, or GeneralClonerParams when --t_diag is given."""
-    eta = _number(args.eta)
+    eta = _number(args.eta, "--eta")
     if args.t_diag is not None:
-        if _number(args.t) != 0.0 or _number(args.t_xy) != 0.0:
+        if _number(args.t, "--t") != 0.0 or _number(args.t_xy, "--t_xy") != 0.0:
             raise _UsageError("--t_diag conflicts with non-zero --t / --t_xy")
-        diag = _vector3(args.t_diag)
+        diag = _vector3(args.t_diag, "--t_diag")
         return GeneralClonerParams(eta=eta, t=np.diag(diag))
-    return ClonerParams(eta=eta, t=_number(args.t), t_xy=_number(args.t_xy))
+    return ClonerParams(eta=eta, t=_number(args.t, "--t"), t_xy=_number(args.t_xy, "--t_xy"))
 
 
 def _cmd_verify(args):
@@ -177,7 +179,7 @@ def _cmd_optimize(args):
 
 
 def _cmd_clone(args):
-    direction = _require_unit_axis(_vector3(args.input), "--input")
+    direction = _require_unit_axis(_vector3(args.input, "--input"), "--input")
     rho_in = bloch_to_density(direction)
     pair = bh_clone(rho_in)
     coeffs = pauli_decompose(pair)
@@ -205,11 +207,11 @@ _SIGNAL_CSV_HEADER = (
 
 def _cmd_signal(args):
     params = _params_from_args(args)
-    axis_a = _require_unit_axis(_vector3(args.axis_a), "--axis-a")
-    axis_b = _require_unit_axis(_vector3(args.axis_b), "--axis-b")
+    axis_a = _require_unit_axis(_vector3(args.axis_a, "--axis-a"), "--axis-a")
+    axis_b = _require_unit_axis(_vector3(args.axis_b, "--axis-b"), "--axis-b")
     shots = int(args.shots)
-    if shots < 1:
-        raise _UsageError(f"--shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise _UsageError(f"--shots must be in [1, {MAX_SHOTS}], got {shots}")
     seed = int(args.seed)
     if seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {seed}")

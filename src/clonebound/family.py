@@ -144,7 +144,8 @@ def _require_unit_axis(m, what="direction"):
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack") from exc
     if vec.ndim not in (1, 2) or vec.shape[-1] != 3:
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack, got {vec.shape}")
-    norms = np.linalg.norm(vec, axis=-1).reshape(-1)
+    with np.errstate(over="ignore"):  # a huge component reads as |m| = inf
+        norms = np.linalg.norm(vec, axis=-1).reshape(-1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_TOL))
     if bad.size:
         row = vec.reshape(-1, 3)[bad[0]]

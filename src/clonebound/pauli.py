@@ -97,7 +97,8 @@ def bloch_to_density(m) -> np.ndarray:
         raise InvalidBlochError(f"Bloch vector must have 3 components, got {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise InvalidBlochError("Bloch vector contains non-finite components")
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # a huge component reads as norm inf
+        norm = float(np.linalg.norm(vec))
     if norm > 1.0 + STATE_TOL:
         raise InvalidBlochError(f"Bloch vector norm {norm} exceeds 1")
     return (IDENTITY + vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z) / 2.0

@@ -15,12 +15,12 @@ the sums differ and the module quantifies by how much:
   1/2 + D/4 (Helstrom's rate for Bob's averaged states, whose trace
   distance is D/2; D <= 2 keeps it at most 1);
 * `monte_carlo_signal` plays the finite-statistics game with a seeded
-  generator: each round draws Alice's axis uniformly from {a, b} and
-  her outcome sign fairly, then measures Bob's clone pair with the
-  Helstrom measurement {Pi, 1 - Pi} by the Born rule and guesses a on
-  outcome Pi.  The estimate is an independent check on
-  `helstrom_probability` and its standard error is at most
-  1/(2 sqrt(shots)).
+  generator: each round Alice draws her axis uniformly from {a, b} and
+  her outcome sign fairly, and Bob measures his clone pair with the
+  Helstrom measurement {Pi, 1 - Pi} by the Born rule, guessing a on
+  outcome Pi; the game's counts are drawn, not its rounds.  The
+  estimate is an independent check on `helstrom_probability` and its
+  standard error is at most 1/(2 sqrt(shots)).
 
 The hypothetical cloner is applied per preparation (each ensemble
 component mapped through the family state for its direction).  That is
@@ -47,8 +47,8 @@ from .bounds import feasible
 from .family import _opposite_outputs, _output_states, _require_one_axis
 from .pauli import _half_trace_norm, bloch_to_density
 
-#: Monte Carlo rounds drawn at a time, so memory stays fixed for any shot count
-MC_CHUNK = 1 << 16
+#: the largest shot count numpy's samplers take (the int64 limit)
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,22 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
 def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalReport:
     """Finite-statistics version of the axis-guessing experiment.
 
-    Rounds are simulated with numpy's default generator (PCG64) seeded
-    once; identical (seed, shots) reproduce the transcript bit for bit.
-    Per round: Alice's axis is drawn uniformly from {a, b} and her
+    Per round, Alice's axis is drawn uniformly from {a, b} and her
     outcome sign fairly, which fixes the output Bob holds; his Helstrom
     measurement then gives outcome Pi with probability Tr(Pi rho), and
-    he guesses a on Pi and b otherwise.  Rounds are drawn MC_CHUNK at a
-    time.
+    he guesses a on Pi and b otherwise.  Rounds are independent, so one
+    multinomial splits the shots over the four preparations and one
+    binomial per preparation counts the right guesses: the round-by-round
+    law, in a time and memory that do not depend on `shots`.  numpy's
+    default generator (PCG64) is seeded once; identical (seed, shots)
+    reproduce the estimate bit for bit.
 
     Non-physical parameters (`is_positive` false) return the analytic
     report with `physical` False and no Monte-Carlo fields.
     """
     shots = int(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")
     outputs, difference = _opposite_outputs(params, a, b)
@@ -153,18 +155,15 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     if not report.physical:
         return replace(report, seed=int(seed))
     # probability of outcome Pi for each preparation 2 * axis + sign,
-    # axis 0 = a and sign 0 = +
+    # axis 0 = a and sign 0 = +; Bob is right on Pi for a, otherwise for b
     outcome_pi = np.clip(
         np.trace(_helstrom(difference) @ outputs, axis1=-2, axis2=-1).real, 0.0, 1.0
     )
     rng = np.random.default_rng(int(seed))
-    correct = 0
-    for start in range(0, shots, MC_CHUNK):
-        n = min(MC_CHUNK, shots - start)
-        prepared = rng.integers(0, 4, size=n, dtype=np.uint8)
-        saw_pi = rng.random(n) < outcome_pi[prepared]
-        correct += int(np.count_nonzero(saw_pi == (prepared < 2)))
-    return replace(report, mc_estimate=correct / shots, mc_shots=shots, seed=int(seed))
+    prepared = rng.multinomial(shots, [0.25] * 4)
+    correct = rng.binomial(prepared, np.concatenate([outcome_pi[:2], 1.0 - outcome_pi[2:]]))
+    return replace(report, mc_estimate=int(correct.sum()) / shots, mc_shots=shots,
+                   seed=int(seed))
 
 
 def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:

@@ -25,6 +25,9 @@ from reference import sweep_output
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: 10^400 / 3, a fraction whose value overflows a float
+HUGE_FRACTION = "1" + "0" * 400 + "/3"
+
 
 def run(capsys, argv):
     status = cli.main(argv)
@@ -353,6 +356,13 @@ class TestOutputPlumbing:
         ["signal", "--seed", "-1"],
         ["optimize", "--resolution", "1000000000"],
         ["sweep", "--resolution", "1000000000"],
+        ["signal", "--shots", "9223372036854775808"],
+        # past the float range: no traceback, and no numpy warning line
+        ["verify", "--eta", HUGE_FRACTION],
+        ["clone", "--input", f"{HUGE_FRACTION},0,0"],
+        ["verify", "--t_diag", f"0,-{HUGE_FRACTION},0"],
+        ["clone", "--input", "1e200,0,0"],
+        ["signal", "--axis-a", "1e200,1e200,0"],
     ])
     def test_nan_axis_fails_at_its_flag(self, capsys, argv):
         status, out, err = run(capsys, argv)

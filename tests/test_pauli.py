@@ -85,6 +85,11 @@ class TestBlochConversions:
         with pytest.raises(InvalidBlochError):
             bloch_to_density((np.nan, 0.0, 0.0))
 
+    def test_rejects_huge_vector_without_warning(self):
+        # |m|^2 overflows; pytest turns a numpy RuntimeWarning into an error
+        with pytest.raises(InvalidBlochError, match="inf"):
+            bloch_to_density((1e200, 0.0, 0.0))
+
 
 class TestTensor:
     def test_identity(self):

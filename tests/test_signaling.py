@@ -186,6 +186,11 @@ class TestMonteCarlo:
         p = VIOLATOR_RATE
         sigma_mean = np.sqrt(p * (1 - p) / shots / len(estimates))
         assert abs(np.mean(estimates) - p) < 4 * sigma_mean
+        # the spread is binomial too: (n - 1) s^2 / sigma^2 is chi-squared
+        # with n - 1 degrees of freedom, so s^2 / sigma^2 has sd sqrt(2 / (n - 1))
+        dof = len(estimates) - 1
+        ratio = np.var(estimates, ddof=1) / (p * (1 - p) / shots)
+        assert abs(ratio - 1.0) < 4 * np.sqrt(2.0 / dof)
 
     @pytest.mark.parametrize("case", range(4))
     def test_estimate_matches_projector_rate(self, case):
@@ -208,16 +213,18 @@ class TestMonteCarlo:
         assert abs(rep.mc_estimate - p) < 4 * sigma
 
     def test_memory_does_not_grow_with_shots(self):
-        # rounds are drawn in fixed chunks: a million shots must not hold
-        # a million-entry array (8 MB per float64 array)
+        # the sampler draws the game's counts, four preparation counts and
+        # four right-guess counts, never one entry per round: memory and time
+        # are the same for a million shots as for 10^12
         monte_carlo_signal(VIOLATOR, Z, X, shots=1000, seed=3)
-        tracemalloc.start()
-        try:
-            monte_carlo_signal(VIOLATOR, Z, X, shots=1_000_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        for shots in (1_000_000, 10**12):
+            tracemalloc.start()
+            try:
+                monte_carlo_signal(VIOLATOR, Z, X, shots=shots, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, shots
 
     def test_non_physical_skips_sampling(self):
         rep = monte_carlo_signal(ClonerParams(0.8, 1 / 3, 0.0), Z, X, shots=100, seed=1)
@@ -243,6 +250,10 @@ class TestMonteCarlo:
     def test_shot_count_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_signal(VIOLATOR, Z, X, shots=0, seed=1)
+        # numpy's samplers take int64 counts
+        monte_carlo_signal(VIOLATOR, Z, X, shots=2**63 - 1, seed=1)
+        with pytest.raises(ValueError):
+            monte_carlo_signal(VIOLATOR, Z, X, shots=2**63, seed=1)
 
 
 class TestHelstromProjector:
