@@ -10,7 +10,7 @@ Two independent routes to the same number:
   walks t down from +1 over a grid of [-1, 1], builds the output-matrix
   entries at the ceiling for every grid t_xy, and stops at the first
   row with a point whose four eigenvalues pass the package's one
-  positivity verdict (`family.is_positive`).  The ceiling grows with
+  positivity verdict (`pauli.is_positive`).  The ceiling grows with
   t, so that row holds the largest feasible eta on the whole (t, t_xy)
   grid, and only one row is ever in memory.
 
@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidResolutionError
-from .family import is_positive, min_output_eigenvalue
+from .family import min_output_eigenvalue
+from .pauli import is_positive
 
 #: the largest grid resolution accepted anywhere: one axis of it is 0.8 MB
 MAX_RESOLUTION = 100_001

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotInFamilyError
 from .family import ClonerParams, covariance_constraint_residual
-from .pauli import ALGEBRA_TOL, _require_one_qubit_state, bloch_to_density, pauli_decompose
+from .pauli import STATE_TOL, _require_one_qubit_state, bloch_to_density, pauli_decompose
 
 _SQ23 = np.sqrt(2.0 / 3.0)
 _SQ16 = np.sqrt(1.0 / 6.0)
@@ -53,7 +53,7 @@ def bh_clone(rho_in) -> np.ndarray:
     the channel is linear).  The result is a genuine positive
     unit-trace two-qubit state.
     """
-    arr = _require_one_qubit_state(rho_in, "cloner input")
+    arr, _ = _require_one_qubit_state(rho_in, "cloner input")
     big = _V @ arr @ _V.conj().T
     return np.einsum("abcdec->abde", big.reshape(2, 2, 2, 2, 2, 2)).reshape(4, 4)
 
@@ -64,8 +64,8 @@ def bh_family_point() -> ClonerParams:
     Decomposes bh_clone(|0>) in the Pauli basis and reads the family
     parameters off the coefficients, checking along the way that the
     state actually has the constrained structure (isotropic diagonal,
-    antisymmetric xy pair, both clones aligned with z).  Any structural
-    leftover above tolerance raises NotInFamilyError.
+    antisymmetric xy pair, both clones aligned with z).  A structural
+    leftover above STATE_TOL (it is 5.6e-17) raises NotInFamilyError.
     """
     state = bh_clone(bloch_to_density((0.0, 0.0, 1.0)))
     coeffs = pauli_decompose(state)
@@ -78,7 +78,7 @@ def bh_family_point() -> ClonerParams:
         abs(first[2] - second[2]), abs(corr[0, 0] - corr[2, 2]),
         covariance_constraint_residual(corr),
     )
-    if off_family > ALGEBRA_TOL:
+    if off_family > STATE_TOL:
         raise NotInFamilyError(
             f"clone pair leaves the constrained family by {off_family:.3e}"
         )

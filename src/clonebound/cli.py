@@ -45,7 +45,6 @@ from .family import (
     _spectrum,
     axial_covariance_residual,
     covariance_constraint_residual,
-    is_positive,
     min_output_eigenvalue,
     no_signaling_residual,
     template_state_z,
@@ -53,6 +52,7 @@ from .family import (
 from .pauli import (
     STATE_TOL,
     bloch_to_density,
+    is_positive,
     overlap_fidelity,
     partial_trace,
     pauli_decompose,
@@ -89,17 +89,19 @@ class _UsageError(ValueError):
 
 
 def _number(text: str, flag: str) -> float:
-    """Parse a decimal or fraction string ("0.25", "2/3", "-1/3") to float for `flag`."""
+    """Parse a decimal or fraction string ("0.25", "2/3", "-1/3") to a finite float for `flag`."""
     try:
-        return float(text)
+        value = float(text)  # a decimal past the float range reads as inf
     except ValueError:
-        pass
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"{flag} is not a number: {text!r}") from exc
-    except OverflowError as exc:  # a fraction past the float range; a decimal reads as inf
-        raise _UsageError(f"{flag} is beyond the float range: {text!r}") from exc
+        try:
+            value = float(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _UsageError(f"{flag} is not a number: {text!r}") from exc
+        except OverflowError as exc:  # a fraction past the float range
+            raise _UsageError(f"{flag} is beyond the float range: {text!r}") from exc
+    if not np.isfinite(value):
+        raise _UsageError(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 def _vector3(text: str, flag: str) -> np.ndarray:

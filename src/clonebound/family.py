@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidBlochError
-from .pauli import ALGEBRA_TOL, BASIS, STATE_TOL, _half_trace_norm
+from .pauli import BASIS, STATE_TOL, _bloch_length, _half_trace_norm, is_positive  # noqa: F401
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
@@ -57,10 +57,11 @@ CANONICAL_AXIS_PAIRS = (
 
 
 def _check_magnitude(name, value):
+    """A finite float with |value| <= 1, exactly: a given number has no round-off."""
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if abs(value) > 1.0 + ALGEBRA_TOL:
+    if abs(value) > 1.0:
         raise ValueError(f"|{name}| must be <= 1, got {value!r}")
     return value
 
@@ -78,9 +79,8 @@ class ClonerParams:
     t_xy: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", _check_magnitude("eta", self.eta))
-        object.__setattr__(self, "t", _check_magnitude("t", self.t))
-        object.__setattr__(self, "t_xy", _check_magnitude("t_xy", self.t_xy))
+        for name in ("eta", "t", "t_xy"):
+            object.__setattr__(self, name, _check_magnitude(name, getattr(self, name)))
 
     def as_matrix(self) -> np.ndarray:
         """The 3x3 correlation matrix in the z frame."""
@@ -107,7 +107,7 @@ class GeneralClonerParams:
             raise ValueError(f"t must be a 3x3 matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("t contains non-finite entries")
-        if np.max(np.abs(mat)) > 1.0 + ALGEBRA_TOL:
+        if np.max(np.abs(mat)) > 1.0:
             raise ValueError("all |t_jk| must be <= 1")
         mat.flags.writeable = False
         object.__setattr__(self, "t", mat)
@@ -144,8 +144,7 @@ def _require_unit_axis(m, what="direction"):
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack") from exc
     if vec.ndim not in (1, 2) or vec.shape[-1] != 3:
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack, got {vec.shape}")
-    with np.errstate(over="ignore"):  # a huge component reads as |m| = inf
-        norms = np.linalg.norm(vec, axis=-1).reshape(-1)
+    norms = _bloch_length(vec).reshape(-1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_TOL))
     if bad.size:
         row = vec.reshape(-1, 3)[bad[0]]
@@ -246,16 +245,6 @@ def min_output_eigenvalue(params) -> float:
     if isinstance(params, ClonerParams):
         return positivity_eigenvalues(params).min()
     return float(np.linalg.eigvalsh(template_state_z(params))[0])
-
-
-def is_positive(lowest):
-    """The one positivity verdict on a lowest eigenvalue, elementwise.
-
-    Zero is the physics threshold and STATE_TOL the only round-off
-    allowance.  The optimum's spectrum (2/3, 1/3, 0, 0) sits exactly on
-    the boundary, so points meant to lie on it are given exactly.
-    """
-    return lowest >= -STATE_TOL
 
 
 def axial_covariance_residual(rho, m) -> float:

@@ -19,8 +19,9 @@ Conventions used everywhere in this package:
 
 `BASIS[j, k]` holds sigma_j (x) sigma_k (index 0 the identity); building
 a matrix from its coefficient table and reading the table back are each
-one `einsum` against it.  Spectra come from LAPACK through
-`np.linalg.eigvalsh`, which stays accurate at any scale.
+one `einsum` against it.  4x4 spectra come from LAPACK's `eigvalsh`; a
+qubit's are (tr +- |m|)/2, so `is_positive`, the one verdict on states
+(STATE_TOL is the only round-off allowance), judges it by |m|.
 
 Public functions validate their inputs once, at entry, through one
 Hermiticity check.  The private `_half_trace_norm` takes stacks
@@ -42,18 +43,17 @@ from .errors import (
     RequiresPureInputError,
 )
 
-#: round-off: state validation, verify residuals, positivity (>= -STATE_TOL)
+#: the one round-off allowance: state validation, verify residuals, positivity
 STATE_TOL = 1e-9
-#: exact identities: |eta|, |t_jk| <= 1, round-trips, unitarity
-ALGEBRA_TOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: the three traceless Paulis in (x, y, z) order
-SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+#: the three traceless Paulis in (x, y, z) order, stacked (3, 2, 2)
+SIGMA = np.array((SIGMA_X, SIGMA_Y, SIGMA_Z))
+SIGMA.flags.writeable = False
 
 _PAULI_BY_INDEX = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -79,27 +79,44 @@ def _require_hermitian(m, dim, what):
     return arr
 
 
+def is_positive(lowest):
+    """The one positivity verdict on a lowest eigenvalue, elementwise: >= -STATE_TOL.
+
+    The optimum's spectrum (2/3, 1/3, 0, 0) sits exactly on the boundary,
+    so points meant to lie on it are given exactly.
+    """
+    return lowest >= -STATE_TOL
+
+
+def _bloch_length(vec):
+    """|m| over the last axis of real (..., 3) vectors; a huge component reads as inf."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(vec, axis=-1)
+
+
 def _require_one_qubit_state(rho, what="density matrix"):
+    """The state and its Bloch length |m|, m = (2 Re rho_10, 2 Im rho_10, rho_00 - rho_11)."""
     arr = _require_hermitian(rho, 2, what)
     tr = arr[0, 0].real + arr[1, 1].real
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"{what} has trace {tr!r}, expected 1")
-    lo = np.linalg.eigvalsh(arr)[0]
-    if lo < -STATE_TOL:
+    off = complex(arr[1, 0])  # Python floats: a huge entry reads as inf, with no warning
+    length = float(_bloch_length([2 * off.real, 2 * off.imag, arr[0, 0].real - arr[1, 1].real]))
+    lo = (tr - length) / 2.0
+    if not is_positive(lo):
         raise InvalidStateError(f"{what} has negative eigenvalue {lo:.3e}")
-    return arr
+    return arr, length
 
 
 def bloch_to_density(m) -> np.ndarray:
-    """Density matrix (1/2)(I + m . sigma) for a Bloch vector m, |m| <= 1."""
+    """Density matrix (1/2)(I + m . sigma); `is_positive` judges (1 - |m|)/2: |m| <= 1 + 2e-9."""
     vec = np.asarray(m, dtype=float)
     if vec.shape != (3,):
         raise InvalidBlochError(f"Bloch vector must have 3 components, got {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise InvalidBlochError("Bloch vector contains non-finite components")
-    with np.errstate(over="ignore"):  # a huge component reads as norm inf
-        norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + STATE_TOL:
+    norm = float(_bloch_length(vec))
+    if not is_positive((1.0 - norm) / 2.0):
         raise InvalidBlochError(f"Bloch vector norm {norm} exceeds 1")
     return (IDENTITY + vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z) / 2.0
 
@@ -194,13 +211,10 @@ def overlap_fidelity(rho_in, clone) -> float:
     Raises RequiresPureInputError unless rho_in is pure (|m| = 1 within
     tolerance); the clone may be mixed.
     """
-    arr_in = _require_one_qubit_state(rho_in, "input state")
-    arr_clone = _require_one_qubit_state(clone, "clone state")
-    m = np.array([np.trace(arr_in @ s).real for s in SIGMA])
-    if abs(float(np.linalg.norm(m)) - 1.0) > STATE_TOL:
-        raise RequiresPureInputError(
-            f"input state is mixed (|m| = {np.linalg.norm(m)})"
-        )
+    arr_in, length = _require_one_qubit_state(rho_in, "input state")
+    arr_clone, _ = _require_one_qubit_state(clone, "clone state")
+    if abs(length - 1.0) > STATE_TOL:
+        raise RequiresPureInputError(f"input state is mixed (|m| = {length})")
     return float(np.trace(arr_in @ arr_clone).real)
 
 
@@ -231,11 +245,7 @@ def bloch_rotation_matrix(u) -> np.ndarray:
     R satisfies U (m . sigma) U^dag = (R m) . sigma.
     """
     arr = _as_complex_square(u, 2, "unitary")
-    rot = np.empty((3, 3))
-    for j in range(3):
-        for k in range(3):
-            rot[j, k] = np.trace(SIGMA[j] @ arr @ SIGMA[k] @ arr.conj().T).real / 2.0
-    return rot
+    return np.einsum("jab,bc,kcd,ad->jk", SIGMA, arr, SIGMA, arr.conj()).real / 2.0
 
 
 def random_rotation(seed: int):
@@ -251,7 +261,5 @@ def random_rotation(seed: int):
     while np.linalg.norm(quat) < 1e-6:
         quat = rng.standard_normal(4)
     w, x, y, z = quat / np.linalg.norm(quat)
-    u = np.array(
-        [[w + 1.0j * z, 1.0j * x + y], [1.0j * x - y, w - 1.0j * z]], dtype=complex
-    )
+    u = np.array([[w + 1.0j * z, 1.0j * x + y], [1.0j * x - y, w - 1.0j * z]])
     return u, bloch_rotation_matrix(u)

@@ -27,7 +27,7 @@ component mapped through the family state for its direction).  That is
 deliberate: parameter choices violating positivity admit no completed
 physical channel, and the per-preparation map is exactly the device the
 no-signaling argument interrogates.  Parameters whose lowest output
-eigenvalue is below -1e-9 (`family.is_positive`, the verdict verify and
+eigenvalue is below -1e-9 (`pauli.is_positive`, the verdict verify and
 `bounds.feasible` give) are flagged as non-physical and the Monte Carlo
 branch is skipped.
 

@@ -38,7 +38,7 @@ def random_params(rng):
 
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector m_j = Tr(rho sigma_j) of a valid one-qubit state."""
-    arr = _require_one_qubit_state(rho)
+    arr, _ = _require_one_qubit_state(rho)
     return np.array([np.trace(arr @ s).real for s in SIGMA])
 
 

@@ -363,6 +363,11 @@ class TestOutputPlumbing:
         ["verify", "--t_diag", f"0,-{HUGE_FRACTION},0"],
         ["clone", "--input", "1e200,0,0"],
         ["signal", "--axis-a", "1e200,1e200,0"],
+        # decimals that are not finite are refused at their own flag
+        ["verify", "--eta", "1e400"],
+        ["verify", "--eta", "nan"],
+        ["signal", "--t", "inf"],
+        ["verify", "--t_diag", "1e400,0,0"],
     ])
     def test_nan_axis_fails_at_its_flag(self, capsys, argv):
         status, out, err = run(capsys, argv)

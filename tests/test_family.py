@@ -53,6 +53,13 @@ class TestParamTypes:
             ClonerParams(eta=0.0, t=-1.5)
         with pytest.raises(ValueError):
             ClonerParams(eta=0.0, t=0.0, t_xy=np.inf)
+        # the domain bound is exact: a given number has no round-off
+        for name in ("eta", "t", "t_xy"):
+            with pytest.raises(ValueError, match=name):
+                ClonerParams(**{"eta": 0.0, "t": 0.0, name: 1 + 1e-13})
+        for edge in (1.0, -1.0):
+            assert ClonerParams(eta=edge, t=edge, t_xy=edge).to_json_dict() == dict.fromkeys(
+                ("eta", "t", "t_xy"), edge)
 
     def test_cloner_params_matrix(self):
         mat = ClonerParams(eta=0.5, t=0.25, t_xy=0.125).as_matrix()
@@ -70,6 +77,14 @@ class TestParamTypes:
             GeneralClonerParams(eta=0.0, t=np.zeros((2, 3)))
         with pytest.raises(ValueError):
             GeneralClonerParams(eta=0.0, t=1.5 * np.eye(3))
+        with pytest.raises(ValueError):
+            GeneralClonerParams(eta=0.0, t=(1 + 1e-13) * np.eye(3))
+        with pytest.raises(ValueError):
+            GeneralClonerParams(eta=1 + 1e-13, t=np.zeros((3, 3)))
+        for edge in (1.0, -1.0):
+            p = GeneralClonerParams(eta=edge, t=edge * np.ones((3, 3)))
+            assert p.eta == edge
+            np.testing.assert_array_equal(p.t, edge * np.ones((3, 3)))
 
     def test_general_params_json_round_trip(self):
         p = GeneralClonerParams(eta=0.1, t=np.diag([0.0, 0.0, 1 / 3]))

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from clonebound.buzek_hillery import bh_clone
 from clonebound.errors import (
     InvalidBlochError,
     InvalidStateError,
@@ -249,6 +250,38 @@ class TestOverlapFidelity:
     def test_rejects_mixed_input(self):
         with pytest.raises(RequiresPureInputError):
             overlap_fidelity(np.eye(2) / 2, bloch_to_density((0, 0, 1)))
+
+    def test_purity_allowance_is_state_tol(self):
+        up = bloch_to_density((0, 0, 1))
+        near = bloch_to_density((0, 0, 1 - 0.5e-9))
+        assert overlap_fidelity(near, up) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(RequiresPureInputError):
+            overlap_fidelity(bloch_to_density((0, 0, 1 - 2e-9)), up)
+
+
+class TestOneQubitRule:
+    """Every one-qubit input is a state by one rule: (1 - |m|)/2 >= -1e-9."""
+
+    @pytest.mark.parametrize("axis", [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 1, 1)])
+    def test_bloch_vector_and_matrix_agree(self, axis):
+        unit = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        up = bloch_to_density((0, 0, 1))
+        verdicts = {}
+        for length in (1 - 1e-9, 1 + 0.5e-9, 1 + 1.5e-9, 1 + 3e-9):
+            m = length * unit
+            # the same matrix, built by hand so that no check runs on m
+            rho = (np.eye(2) + m[0] * SIGMA_X + m[1] * SIGMA_Y + m[2] * SIGMA_Z) / 2
+            outcomes = []
+            for accept in (lambda: bloch_to_density(m), lambda: bh_clone(rho),
+                           lambda: overlap_fidelity(up, rho)):
+                try:
+                    accept()
+                    outcomes.append(True)
+                except (InvalidBlochError, InvalidStateError):
+                    outcomes.append(False)
+            verdicts[length] = outcomes
+        assert verdicts == {1 - 1e-9: [True] * 3, 1 + 0.5e-9: [True] * 3,
+                            1 + 1.5e-9: [True] * 3, 1 + 3e-9: [False] * 3}
 
 
 class TestTraceDistance:
