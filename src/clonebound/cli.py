@@ -15,10 +15,10 @@ Subcommands:
     sweep      CSV feasibility landscape over (eta, t, t_xy)
 
 Each handler validates its flags and returns (exit status, output
-chunks), made as they are written: `sweep` makes one chunk per (eta, t)
-block of `--resolution` rows, handing `serialize.Table` columns to
-format, so its memory is one block of text.  `main` writes the chunks,
-to stdout or to `--out`, created once flags are valid.
+chunks), made as they are written: `sweep` makes one chunk per piece of
+at most `_PIECE_ROWS` rows of an (eta, t) block, handing `serialize.Table`
+columns to format, so its memory is one piece of text.  `main` writes the
+chunks, to stdout or to `--out`, created once flags are valid.
 
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
@@ -244,23 +244,27 @@ def _cmd_signal(args):
 _SWEEP_HEADER = (
     "eta", "t", "t_xy", "lam1", "lam2", "lam3", "lam4", "feasible", "fidelity",
 )
+#: the most t_xy rows a sweep chunk holds, so its text is bounded at any --resolution
+_PIECE_ROWS = 1024
 
 
 def _sweep_blocks(table, resolution: int):
-    """Column blocks over the (eta, t, t_xy) grid, one `_spectrum` call per (eta, t).
+    """Column blocks over the (eta, t, t_xy) grid, one `_spectrum` call per piece.
 
-    The axis values and fidelities take R distinct values, so their cell
-    text is made once; each block formats only its four eigenvalue columns.
+    The axis takes R distinct values, so its cell text is made once; each
+    piece of a block formats only its four eigenvalue columns.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
-    cells = table.floats(axis)
-    fidelities = table.floats((1.0 + axis) / 2.0)
-    values = axis.tolist()
-    for eta, eta_cell, fidelity in zip(values, cells, fidelities):
+    values, cells = axis.tolist(), table.floats(axis)
+    pieces = [(axis[lo:lo + _PIECE_ROWS], cells[lo:lo + _PIECE_ROWS])
+              for lo in range(0, resolution, _PIECE_ROWS)]
+    for eta, eta_cell in zip(values, cells):
+        fidelity = table.floats((1.0 + eta) / 2.0)[0]
         for t, t_cell in zip(values, cells):
-            lams = _spectrum(eta, t, axis)
-            yield (eta_cell, t_cell, cells, *table.floats(lams),
-                   table.flags(is_positive(lams[3])), fidelity)
+            for t_xy, t_xy_cells in pieces:
+                lams = _spectrum(eta, t, t_xy)
+                yield (eta_cell, t_cell, t_xy_cells, *table.floats(lams),
+                       table.flags(is_positive(lams[3])), fidelity)
 
 
 def _cmd_sweep(args):

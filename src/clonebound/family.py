@@ -23,6 +23,10 @@ that spectrum has one closed form, `_spectrum`, which broadcasts over
 arrays: `positivity_eigenvalues` takes it per point and the CLI sweep
 per grid row.
 
+The no-signaling difference rho(+a) + rho(-a) - rho(+b) - rho(-b) comes
+from the correlation sum alone: the identity and the eta terms cancel
+exactly, leaving the co-rotated R t R^T at +-a minus those at +-b.
+
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
 per row.  Public functions validate them once; the private builders
 they call trust them, and nothing re-validates a state built here.
@@ -40,8 +44,8 @@ from .pauli import BASIS, STATE_TOL, _bloch_length, _half_trace_norm, is_positiv
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
+_CORR_BASIS = BASIS[1:, 1:].reshape(9, 16)
 
-_Z = np.array([0.0, 0.0, 1.0])
 _EYE = np.eye(3)
 _HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
 _DIAGONAL = 1.0 / math.sqrt(3.0)
@@ -142,6 +146,8 @@ def _require_unit_axis(m, what="direction"):
         vec = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged stacks, non-numbers
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack") from exc
+    if vec.shape == (3,) and abs(math.hypot(*vec.tolist()) - 1.0) <= STATE_TOL:
+        return vec  # one unit axis, judged in plain floats; all else takes the numpy path
     if vec.ndim not in (1, 2) or vec.shape[-1] != 3:
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack, got {vec.shape}")
     norms = _bloch_length(vec).reshape(-1)
@@ -211,28 +217,30 @@ def output_state(params, m) -> np.ndarray:
     order of the z-frame closed form in `tests/reference.py`, so that at
     m = zhat the result matches it bit for bit.
     """
-    return _output_states(params, _require_unit_axis(m))
+    axes = _require_unit_axis(m)
+    # one axis is a stack of one, so every row takes the same matmul path
+    rot = _rotations_z_to(axes.reshape(-1, 3))
+    return _assemble(params, rot).reshape(axes.shape[:-1] + (4, 4))
 
 
-def _output_states(params, axes):
-    """`output_state` for validated axes, shape (..., 3) -> (..., 4, 4).
+def _assemble(params, rot):
+    """Outputs (N, 4, 4) for rotations (N, 3, 3) taking zhat to each axis.
 
     Each real or imaginary part of an entry of either expansion has at
     most two nonzero terms (the basis entries are 0, +-1, +-i), so the
     matmuls sum them exactly, in whatever order BLAS takes.
     """
-    shape = axes.shape[:-1] + (4, 4)
-    # one axis is a stack of one, so every row takes the same matmul path
-    rot = _rotations_z_to(axes.reshape(-1, 3))
-    bloch = (rot[:, :, 2] @ _BLOCH_PAIR.reshape(3, 16)).reshape(shape)
-    corr = rot @ params.as_matrix() @ rot.transpose(0, 2, 1)
-    corr_part = (corr.reshape(-1, 9) @ BASIS[1:, 1:].reshape(9, 16)).reshape(shape)
-    return (BASIS[0, 0] + params.eta * bloch + corr_part) / 4.0
+    bloch = (rot[:, :, 2] @ _BLOCH_PAIR.reshape(3, 16)).reshape(-1, 4, 4)
+    corr = (rot @ params.as_matrix() @ rot.transpose(0, 2, 1)).reshape(-1, 9)
+    return (BASIS[0, 0] + params.eta * bloch + (corr @ _CORR_BASIS).reshape(-1, 4, 4)) / 4.0
 
 
 def template_state_z(params) -> np.ndarray:
-    """The z-frame template state of either parameter type."""
-    return _output_states(params, _Z)
+    """The z-frame template state of either parameter type.
+
+    `output_state` at zhat bit for bit: `_rotations_z_to` returns exactly the identity there.
+    """
+    return _assemble(params, _EYE[None])[0]
 
 
 def min_output_eigenvalue(params) -> float:
@@ -285,10 +293,11 @@ def covariance_constraint_residual(t) -> float:
 def no_signaling_residual(params, axis_a, axis_b):
     """Distinguishability of the two opposite-outcome output sums.
 
-    Builds rho_out(+a) + rho_out(-a) and rho_out(+b) + rho_out(-b)
-    (each output by `output_state`) and returns the trace distance
-    between the two sums.  For diagonal correlation matrices and axes
-    (zhat, xhat) this equals |t_zz - t_xx|; it vanishes for every
+    Returns the trace distance between rho_out(+a) + rho_out(-a) and
+    rho_out(+b) + rho_out(-b).  Their difference comes from the
+    correlation sum alone (`_opposite_difference`): the identity and the
+    eta terms cancel exactly.  For diagonal correlation matrices and
+    axes (zhat, xhat) this equals |t_zz - t_xx|; it vanishes for every
     constrained family point and every axis pair.  Axes of shape (3,)
     give a float; stacks (N, 3) give one value per pair, shape (N,).
     """
@@ -296,14 +305,20 @@ def no_signaling_residual(params, axis_a, axis_b):
     b = _require_unit_axis(axis_b, "axis_b")
     if a.shape != b.shape:
         raise InvalidBlochError(f"axis_a and axis_b differ in shape: {a.shape} vs {b.shape}")
-    distance = _half_trace_norm(_opposite_outputs(params, a, b)[1])
+    distance = _half_trace_norm(_opposite_difference(params, a, b)[0])
     return float(distance) if a.ndim == 1 else distance
 
 
-def _opposite_outputs(params, a, b):
-    """Outputs at +a, -a, +b, -b (stacked first) and (rho(+a) + rho(-a)) - (rho(+b) + rho(-b))."""
-    outputs = _output_states(params, np.stack([a, -a, b, -b]))
-    return outputs, outputs[0] + outputs[1] - (outputs[2] + outputs[3])
+def _opposite_difference(params, a, b):
+    """(rho(+a) + rho(-a)) - (rho(+b) + rho(-b)) and the rotations to +a, -a, +b, -b.
+
+    The difference is the co-rotated R t R^T sum alone.  Axes (3,) or
+    (N, 3); the rotations are stacked first, shape (4, ..., 3, 3).
+    """
+    rot = _rotations_z_to(np.array([a, -a, b, -b]))
+    corr = rot @ params.as_matrix() @ np.swapaxes(rot, -1, -2)
+    diff = (corr[0] + corr[1] - (corr[2] + corr[3])).reshape(a.shape[:-1] + (9,))
+    return (diff @ _CORR_BASIS).reshape(a.shape[:-1] + (4, 4)) / 4.0, rot
 
 
 def _spectrum(eta, t, t_xy):

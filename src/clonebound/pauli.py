@@ -24,8 +24,10 @@ qubit's are (tr +- |m|)/2, so `is_positive`, the one verdict on states
 (STATE_TOL is the only round-off allowance), judges it by |m|.
 
 Public functions validate their inputs once, at entry, through one
-Hermiticity check.  The private `_half_trace_norm` takes stacks
-(..., n, n) and validates nothing: the package calls it on differences
+Hermiticity check: the shape, finiteness by one `vdot` (it catches any
+non-finite entry and warns of none), one residual reduction max |A -
+A^dag|.  The private `_half_trace_norm` takes stacks (..., n, n) and
+validates nothing: the package calls it on differences
 of states it built itself.  The SU(2) rotation and Bloch readout that
 only the tests use live in `tests/reference.py`.
 """
@@ -66,14 +68,15 @@ def _as_complex_square(m, dim, what):
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (dim, dim):
         raise InvalidStateError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # |arr|_F^2 is finite unless an entry is not (or it overflows); BLAS warns of neither
+    if not np.vdot(arr, arr).real < np.inf and not np.isfinite(arr).all():
         raise InvalidStateError(f"{what} contains non-finite entries")
     return arr
 
 
 def _require_hermitian(m, dim, what):
     arr = _as_complex_square(m, dim, what)
-    res = float(np.max(np.abs(arr - arr.conj().T)))
+    res = abs(arr - arr.conj().T).max()
     if res > STATE_TOL:
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
     return arr

@@ -31,9 +31,10 @@ eigenvalue is below -1e-9 (`pauli.is_positive`, the verdict verify and
 `bounds.feasible` give) are flagged as non-physical and the Monte Carlo
 branch is skipped.
 
-Each public function validates its single axes once and builds the
-outputs for +a, -a, +b and -b once; the trace distance, the Helstrom
-projector and the Monte Carlo outcome probabilities all come from them.
+Each public function validates its single axes once and takes one
+rotation stack for +a, -a, +b and -b; the trace distance and the
+Helstrom projector come from the correlation-sum difference, and the
+Monte Carlo assembles its four outputs from the same rotations.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import feasible
-from .family import _opposite_outputs, _output_states, _require_one_axis
+from .family import _assemble, _opposite_difference, _require_one_axis, _rotations_z_to
 from .pauli import _half_trace_norm, bloch_to_density
 
 #: the largest shot count numpy's samplers take (the int64 limit)
@@ -100,7 +101,7 @@ def averaged_clone_output(params, axis) -> np.ndarray:
     only the (rotated) correlation part.
     """
     vec = _require_one_axis(axis, "measurement axis")
-    plus, minus = _output_states(params, np.stack([vec, -vec]))
+    plus, minus = _assemble(params, _rotations_z_to(np.stack([vec, -vec])))
     return (plus + minus) / 2.0
 
 
@@ -126,7 +127,7 @@ def signaling_advantage(params, axis_a, axis_b) -> SignalReport:
     """
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")
-    return _report(params, a, b, _opposite_outputs(params, a, b)[1])
+    return _report(params, a, b, _opposite_difference(params, a, b)[0])
 
 
 def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalReport:
@@ -150,12 +151,13 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")
-    outputs, difference = _opposite_outputs(params, a, b)
+    difference, rotations = _opposite_difference(params, a, b)
     report = _report(params, a, b, difference)
     if not report.physical:
         return replace(report, seed=int(seed))
     # probability of outcome Pi for each preparation 2 * axis + sign,
     # axis 0 = a and sign 0 = +; Bob is right on Pi for a, otherwise for b
+    outputs = _assemble(params, rotations)
     outcome_pi = np.clip(
         np.trace(_helstrom(difference) @ outputs, axis1=-2, axis2=-1).real, 0.0, 1.0
     )
@@ -174,4 +176,4 @@ def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:
     """
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")
-    return _helstrom(_opposite_outputs(params, a, b)[1])
+    return _helstrom(_opposite_difference(params, a, b)[0])

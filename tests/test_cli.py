@@ -19,7 +19,7 @@ import pytest
 from clonebound import cli
 from clonebound.bounds import feasible
 from clonebound.family import ClonerParams, GeneralClonerParams, is_positive
-from clonebound.serialize import dump_json
+from clonebound.serialize import Table, dump_json
 from clonebound.signaling import averaged_clone_output, helstrom_projector
 from reference import sweep_output
 
@@ -301,6 +301,32 @@ class TestSweep:
         # doubling R gives 8x the points, and output held whole ~6-7x the
         # peak; R = 41 against 21 reads the same at ~40x the traced time
         assert peak(12) <= 1.5 * peak(6)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pieces_join_into_the_same_bytes(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 2)  # R = 5 rows as pieces of 2, 2, 1
+        status, out, _ = run(capsys, ["sweep", "--resolution", "5", "--format", fmt])
+        assert status == 0
+        assert out == sweep_output(5, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_flat_in_resolution(self, fmt):
+        # one (eta, t) block at R = 20001 is 20001 rows of text; a piece is
+        # at most `_PIECE_ROWS` of them, beside the 20001 axis cells
+        def chunks(resolution):
+            table = Table(fmt, cli._SWEEP_HEADER, {"command": "sweep"})
+            return table.chunks(cli._sweep_blocks(table, resolution))
+
+        tracemalloc.start()
+        try:
+            for _ in zip(range(8), chunks(20001)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # the landscape's and the default sweep's blocks are one piece each
+        assert sum(1 for _ in chunks(25)) == 25 * 25 + 2
 
 
 class TestOutputPlumbing:

@@ -8,6 +8,8 @@ from clonebound.family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
+    _opposite_difference,
+    _require_unit_axis,
     axial_covariance_residual,
     bloch_rotation_z_to,
     clone_fidelity,
@@ -306,6 +308,28 @@ class TestNoSignalingResidual:
         got = no_signaling_residual(p, (0, 0, 1), (1, 0, 0))
         assert got == pytest.approx(1 / 3, abs=1e-12)
 
+    def test_anisotropic_diagonal_gap_is_exact(self):
+        # only t_zz E_zz and t_xx E_xx survive the correlation sum, exactly
+        p = GeneralClonerParams(eta=0.0, t=np.diag([0.0, 0.0, 1 / 3]))
+        assert no_signaling_residual(p, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) == 1 / 3
+
+    def test_difference_is_the_four_outputs_combined(self):
+        rng = np.random.default_rng(44)
+        edges = list(EDGE_AXES.values())
+        axes_a = np.array([*(random_axis(rng) for _ in range(20)), *edges, *edges])
+        axes_b = np.array([*(random_axis(rng) for _ in range(20)), *edges, *edges[::-1]])
+        for _ in range(20):
+            p = GeneralClonerParams(eta=rng.uniform(-1, 1), t=rng.uniform(-1, 1, (3, 3)))
+            combined = (output_state(p, axes_a) + output_state(p, -axes_a)
+                        - output_state(p, axes_b) - output_state(p, -axes_b))
+            stacked = _opposite_difference(p, axes_a, axes_b)[0]
+            np.testing.assert_allclose(stacked, combined, rtol=0.0, atol=1e-15)
+            for a, b, want in zip(axes_a, axes_b, combined):
+                single = _opposite_difference(p, a, b)[0]
+                np.testing.assert_allclose(single, want, rtol=0.0, atol=1e-15)
+                assert np.trace(single) == 0.0
+            assert np.all(np.trace(stacked, axis1=-2, axis2=-1) == 0.0)
+
     def test_gap_matches_diagonal_difference(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -474,3 +498,36 @@ class TestTemplateState:
                 rotate_output(template_state_z(p), m),
                 atol=1e-15,
             )
+
+
+class TestUnitAxisValidation:
+    """One axis and the same axis as row 1 of a stack: one verdict, one text."""
+
+    UNIT = np.array([0.0, 0.6, 0.8])
+
+    @staticmethod
+    def check(vec):
+        return [_require_unit_axis(vec), _require_unit_axis([[0.0, 0.0, 1.0], vec])]
+
+    @pytest.mark.parametrize("scale", [1 - 0.5e-9, 1 + 0.5e-9])
+    def test_within_state_tol_is_accepted(self, scale):
+        single, stack = self.check(scale * self.UNIT)
+        np.testing.assert_array_equal(single, scale * self.UNIT)
+        np.testing.assert_array_equal(stack[1], scale * self.UNIT)
+
+    @pytest.mark.parametrize("scale", [1 - 2e-9, 1 + 2e-9])
+    def test_beyond_state_tol_is_refused(self, scale):
+        for vec in (scale * self.UNIT, [[0.0, 0.0, 1.0], scale * self.UNIT]):
+            with pytest.raises(InvalidBlochError, match=r"^direction(\[1\])? must be unit length"):
+                _require_unit_axis(vec)
+
+    @pytest.mark.parametrize("bad, text", [
+        ((np.nan, 0.0, 0.0), "must be a finite 3-vector, got [nan, 0.0, 0.0]"),
+        ((np.inf, 0.0, 0.0), "must be a finite 3-vector, got [inf, 0.0, 0.0]"),
+        ((1e200, 0.0, 0.0), "must be unit length, |m| = inf"),
+    ], ids=["nan", "inf", "huge"])
+    def test_bad_components_keep_their_text(self, bad, text):
+        with pytest.raises(InvalidBlochError, match=f"^direction {re.escape(text)}$"):
+            _require_unit_axis(bad)
+        with pytest.raises(InvalidBlochError, match=f"^direction\\[1\\] {re.escape(text)}$"):
+            _require_unit_axis([[0.0, 0.0, 1.0], bad])

@@ -370,3 +370,40 @@ class TestRotations:
             np.testing.assert_allclose(
                 bloch_rotation_matrix(u1 @ u2), r1 @ r2, atol=1e-10
             )
+
+
+class TestNonFiniteInput:
+    """Non-finite entries are refused as such, before any Hermiticity verdict."""
+
+    @staticmethod
+    def spoil(rho, case):
+        bad = np.array(rho, dtype=complex)
+        if case == "nan_pair":
+            bad[0, 1] = bad[1, 0] = np.nan
+        elif case == "inf_diagonal":
+            bad[1, 1] = np.inf
+        else:
+            bad[0, 1] = np.inf
+        return bad
+
+    CASES = ["nan_pair", "inf_diagonal", "inf_unpaired"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("call, what", [
+        (lambda m: partial_trace(m, 1), "two-qubit matrix"),
+        (hermitian_eigenvalues4, "matrix"),
+    ], ids=["partial_trace", "hermitian_eigenvalues4"])
+    def test_two_qubit(self, case, call, what):
+        with pytest.raises(InvalidStateError, match=f"^{what} contains non-finite entries$") as err:
+            call(self.spoil(SINGLET, case))
+        assert err.type is InvalidStateError
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_overlap_fidelity(self, case):
+        pure, clone = bloch_to_density((0.0, 0.0, 1.0)), bloch_to_density((0.0, 0.0, 0.5))
+        for args, what in (((self.spoil(pure, case), clone), "input state"),
+                           ((pure, self.spoil(clone, case)), "clone state")):
+            with pytest.raises(InvalidStateError,
+                               match=f"^{what} contains non-finite entries$") as err:
+                overlap_fidelity(*args)
+            assert err.type is InvalidStateError

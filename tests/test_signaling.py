@@ -119,6 +119,12 @@ class TestSignalingAdvantage:
         assert rep.helstrom_probability == pytest.approx(VIOLATOR_RATE, abs=1e-12)
         assert rep.physical is True
 
+    def test_diagonal_violator_is_exact(self):
+        # the difference is the correlation sum alone: D = float(1/3), rate float(7/12)
+        rep = signaling_advantage(VIOLATOR, Z, X)
+        assert rep.trace_distance == 1 / 3
+        assert rep.helstrom_probability == 7 / 12
+
     def test_diagonal_differences_in_general(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -235,17 +241,18 @@ class TestMonteCarlo:
         assert rep.trace_distance < 1e-12
 
     def test_four_outputs_are_built_once(self, monkeypatch):
-        built = []
-        build = family._output_states
+        rotated = []
+        rotate = family._rotations_z_to
 
-        def recording(params, axes):
-            built.append(np.shape(axes))
-            return build(params, axes)
+        def recording(axes):
+            rotated.append(np.shape(axes))
+            return rotate(axes)
 
-        monkeypatch.setattr(family, "_output_states", recording)
+        monkeypatch.setattr(family, "_rotations_z_to", recording)
         monte_carlo_signal(VIOLATOR, Z, X, shots=100, seed=1)
-        # +a, -a, +b, -b in one stack, and the z template for `physical`
-        assert sorted(built) == [(3,), (4, 3)]
+        # +a, -a, +b, -b in one stack, for the difference and the four
+        # outputs alike; the z template for `physical` rotates nothing
+        assert rotated == [(4, 3)]
 
     def test_shot_count_validation(self):
         with pytest.raises(ValueError):
