@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -57,7 +58,7 @@ from .pauli import (
     partial_trace,
     pauli_decompose,
 )
-from .serialize import Table, complex_matrix_to_json, csv_lines, dump_json
+from .serialize import Table, csv_lines, dump_json
 from .signaling import MAX_SHOTS, monte_carlo_signal
 
 #: the parser's default for every flag of every subcommand; the committed
@@ -116,11 +117,6 @@ def _resolution(args) -> int:
     if not 3 <= resolution <= MAX_RESOLUTION:
         raise _UsageError(f"--resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
     return resolution
-
-
-def _csv(header, rows):
-    """`csv_lines` as LF-terminated chunks."""
-    return (line + "\n" for line in csv_lines(header, rows))
 
 
 def _params_from_args(args) -> object:
@@ -187,24 +183,17 @@ def _cmd_clone(args):
     coeffs = pauli_decompose(pair)
     report = {
         "command": "clone",
-        "input": [float(v) for v in direction],
-        "output_matrix": complex_matrix_to_json(pair),
+        "input": direction,
+        "output_matrix": pair,
         "c00": coeffs.c00,
-        "a": [float(v) for v in coeffs.a],
-        "b": [float(v) for v in coeffs.b],
-        "t_matrix": [list(map(float, row)) for row in coeffs.t],
+        "a": coeffs.a,
+        "b": coeffs.b,
+        "t_matrix": coeffs.t,
         "fidelity_clone1": overlap_fidelity(rho_in, partial_trace(pair, 1)),
         "fidelity_clone2": overlap_fidelity(rho_in, partial_trace(pair, 2)),
         "trace": float(np.trace(pair).real),
     }
     return 0, [dump_json(report)]
-
-
-_SIGNAL_CSV_HEADER = (
-    "axis_a_x", "axis_a_y", "axis_a_z", "axis_b_x", "axis_b_y", "axis_b_z",
-    "trace_distance", "helstrom_probability", "mc_estimate", "mc_shots",
-    "seed", "physical",
-)
 
 
 def _cmd_signal(args):
@@ -217,28 +206,17 @@ def _cmd_signal(args):
     seed = int(args.seed)
     if seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {seed}")
-    report = monte_carlo_signal(params, axis_a, axis_b, shots=shots, seed=seed)
-    if args.format == "csv":
-        row = (
-            *(float(v) for v in report.axis_a), *(float(v) for v in report.axis_b),
-            report.trace_distance, report.helstrom_probability,
-            "" if report.mc_estimate is None else report.mc_estimate,
-            report.mc_shots, report.seed, report.physical,
-        )
-        return 0, _csv(_SIGNAL_CSV_HEADER, [row])
-    payload = {
-        "command": "signal",
-        **params.to_json_dict(),
-        "axis_a": [float(v) for v in report.axis_a],
-        "axis_b": [float(v) for v in report.axis_b],
-        "trace_distance": report.trace_distance,
-        "helstrom_probability": report.helstrom_probability,
-        "mc_estimate": report.mc_estimate,
-        "mc_shots": report.mc_shots,
-        "seed": report.seed,
-        "physical": report.physical,
-    }
-    return 0, [dump_json(payload)]
+    fields = dataclasses.asdict(monte_carlo_signal(params, axis_a, axis_b, shots=shots, seed=seed))
+    if args.format == "json":
+        return 0, [dump_json({"command": "signal", **params.to_json_dict(), **fields})]
+    # the report's fields in order, an axis as its three columns <name>_x, _y, _z
+    cells = {}
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            cells.update(zip((f"{name}_{c}" for c in "xyz"), value.tolist()))
+        else:
+            cells[name] = value
+    return 0, (line + "\n" for line in csv_lines(cells, [cells.values()]))
 
 
 _SWEEP_HEADER = (

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidBlochError
-from .pauli import BASIS, STATE_TOL, _bloch_length, _half_trace_norm, is_positive  # noqa: F401
+from .pauli import BASIS, STATE_TOL, _bloch_length, _half_trace_norm
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]

@@ -68,15 +68,20 @@ def _as_complex_square(m, dim, what):
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (dim, dim):
         raise InvalidStateError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
-    # |arr|_F^2 is finite unless an entry is not (or it overflows); BLAS warns of neither
-    if not np.vdot(arr, arr).real < np.inf and not np.isfinite(arr).all():
+    # |arr|_F^2 is finite unless an entry is not or is ~1e154 or more; BLAS warns of neither
+    bounded = np.vdot(arr, arr).real < np.inf
+    if not bounded and not np.isfinite(arr).all():
         raise InvalidStateError(f"{what} contains non-finite entries")
-    return arr
+    return arr, bounded
 
 
 def _require_hermitian(m, dim, what):
-    arr = _as_complex_square(m, dim, what)
-    res = abs(arr - arr.conj().T).max()
+    arr, bounded = _as_complex_square(m, dim, what)
+    if bounded:
+        res = abs(arr - arr.conj().T).max()
+    else:  # an entry is ~1e154 or more: A - A^dag may overflow to inf
+        with np.errstate(over="ignore"):
+            res = abs(arr - arr.conj().T).max()
     if res > STATE_TOL:
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
     return arr
@@ -247,7 +252,7 @@ def bloch_rotation_matrix(u) -> np.ndarray:
 
     R satisfies U (m . sigma) U^dag = (R m) . sigma.
     """
-    arr = _as_complex_square(u, 2, "unitary")
+    arr, _ = _as_complex_square(u, 2, "unitary")
     return np.einsum("jab,bc,kcd,ad->jk", SIGMA, arr, SIGMA, arr.conj()).real / 2.0
 
 

@@ -3,9 +3,9 @@
 The JSON emitter is hand-rolled so that float formatting is pinned:
 numbers are written with 17 significant digits (enough to round-trip a
 double exactly), keys are sorted, and the byte stream depends only on
-the values.  CSV values use 9 significant digits, '.' decimal points,
-and LF line endings; complex matrices serialize as nested arrays of
-[re, im] pairs.
+the values.  An ndarray is written as nested lists, and a complex entry
+as its [re, im] pair.  CSV values use 9 significant digits, '.' decimal
+points, and LF line endings; a missing value (None) is an empty cell.
 
 `format_floats` is the one float-to-text rule, a column at a time: a
 report's single float is its one-value case.  `Table` writes long tables
@@ -59,6 +59,8 @@ def _emit(value, digits: int) -> str:
         return "[" + ", ".join(_emit(v, digits) for v in value) + "]"
     if isinstance(value, np.ndarray):
         return _emit(value.tolist(), digits)
+    if isinstance(value, (complex, np.complexfloating)):
+        return _emit([value.real, value.imag], digits)
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
@@ -67,14 +69,10 @@ def dump_json(value, digits: int = JSON_DIGITS) -> str:
     return _emit(value, digits) + "\n"
 
 
-def complex_matrix_to_json(matrix) -> list:
-    """Nested lists of [re, im] pairs for a complex matrix."""
-    arr = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
-
-
 def csv_cell(value) -> str:
-    """Single CSV cell: floats at 9 significant digits, ints and flags as-is."""
+    """Single CSV cell: floats at 9 significant digits, ints and flags as-is, None empty."""
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

@@ -68,7 +68,7 @@ class RemoteEnsemble:
 
 @dataclass(frozen=True)
 class SignalReport:
-    """Analytic and (optionally) Monte-Carlo distinguishability figures."""
+    """Analytic and (optionally) Monte-Carlo figures; field order is `signal`'s CSV columns."""
 
     axis_a: np.ndarray
     axis_b: np.ndarray

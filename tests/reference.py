@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from clonebound.family import ClonerParams, is_positive, positivity_eigenvalues
-from clonebound.pauli import _require_one_qubit_state
+from clonebound.family import ClonerParams, positivity_eigenvalues
+from clonebound.pauli import _require_one_qubit_state, is_positive
 from clonebound.serialize import csv_lines, dump_json
 
 IDENTITY = np.eye(2, dtype=complex)

@@ -11,7 +11,8 @@ from clonebound.bounds import (
     max_eta_grid,
 )
 from clonebound.errors import InvalidResolutionError
-from clonebound.family import ClonerParams, is_positive
+from clonebound.family import ClonerParams
+from clonebound.pauli import is_positive
 
 
 def full_plane_grid(resolution):

@@ -18,7 +18,8 @@ import pytest
 
 from clonebound import cli
 from clonebound.bounds import feasible
-from clonebound.family import ClonerParams, GeneralClonerParams, is_positive
+from clonebound.family import ClonerParams, GeneralClonerParams
+from clonebound.pauli import is_positive
 from clonebound.serialize import Table, dump_json
 from clonebound.signaling import averaged_clone_output, helstrom_projector
 from reference import sweep_output
@@ -441,6 +442,14 @@ class TestOutputPlumbing:
         committed = (REPO_ROOT / "reference-config.json").read_text(encoding="utf-8")
         assert committed == dump_json(cli.DEFAULTS)
 
+    @pytest.mark.parametrize("command", list(cli.DEFAULTS))
+    def test_every_flag_has_its_default_in_defaults(self, command):
+        # a flag added to the parser without a DEFAULTS entry would escape
+        # the reference-config check above
+        parsed = vars(cli.build_parser().parse_args([command]))
+        del parsed["handler"], parsed["subcommand"]
+        assert parsed == cli.DEFAULTS[command]
+
 
 #: points on and next to the positivity boundary: flags, the lowest
 #: output eigenvalue, and the one verdict every entry point must give
@@ -510,6 +519,42 @@ class TestDeterminism:
         second = run(capsys, self.CASES[name])
         assert first == second
         assert first[1] != ""
+
+    #: exact stdout of reports whose fields pass through the emitter:
+    #: CSV and JSON `signal`, with and without a Monte Carlo estimate
+    PINNED = {
+        "signal_csv": (
+            ["signal", "--t_diag", "0,0,1/3", "--shots", "100", "--format", "csv"],
+            "axis_a_x,axis_a_y,axis_a_z,axis_b_x,axis_b_y,axis_b_z,trace_distance,"
+            "helstrom_probability,mc_estimate,mc_shots,seed,physical\n"
+            "0,0,1,1,0,0,0.333333333,0.583333333,0.61,100,12345,1\n"),
+        "signal_csv_non_physical": (
+            ["signal", "--eta", "0.8", "--t", "1/3", "--shots", "500", "--format", "csv"],
+            "axis_a_x,axis_a_y,axis_a_z,axis_b_x,axis_b_y,axis_b_z,trace_distance,"
+            "helstrom_probability,mc_estimate,mc_shots,seed,physical\n"
+            "0,0,1,1,0,0,0,0.5,,0,12345,0\n"),
+        "signal_json_non_physical": (
+            ["signal", "--eta", "0.8", "--t", "1/3", "--shots", "500"],
+            '{"axis_a": [0, 0, 1], "axis_b": [1, 0, 0], "command": "signal", '
+            '"eta": 0.80000000000000004, "helstrom_probability": 0.5, "mc_estimate": null, '
+            '"mc_shots": 0, "physical": false, "seed": 12345, "t": 0.33333333333333331, '
+            '"t_xy": 0, "trace_distance": 0}\n'),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_stdout_is_pinned(self, capsys, name):
+        argv, expected = self.PINNED[name]
+        assert run(capsys, argv) == (0, expected, "")
+
+    def test_clone_output_is_pinned(self, capsys):
+        # a complex output matrix: every off-diagonal entry is purely imaginary
+        status, out, err = run(capsys, ["clone", "--input", "0,0.6,0.8"])
+        assert (status, err) == (0, "")
+        assert '"output_matrix": [[[0.59999999999999998, 0], [0, -0.099999999999999992], ' in out
+        data = out.encode("utf-8")
+        assert len(data) == 845
+        assert hashlib.sha256(data).hexdigest() == (
+            "3c99f096bfe00e40fcf52e03cd89f7d315569116e84c8b29fe995d28cac09d2e")
 
     def test_file_output_is_byte_identical(self, capsys, tmp_path):
         # stdout and --out are the two sinks of one write path

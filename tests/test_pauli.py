@@ -407,3 +407,41 @@ class TestNonFiniteInput:
                                match=f"^{what} contains non-finite entries$") as err:
                 overlap_fidelity(*args)
             assert err.type is InvalidStateError
+
+    #: finite entries whose antihermitian part overflows: A - A^dag reads inf
+    HUGE_TWO_QUBIT = np.zeros((4, 4))
+    HUGE_TWO_QUBIT[0, 1], HUGE_TWO_QUBIT[1, 0] = 1e308, -1e308
+    HUGE_ONE_QUBIT = np.array([[1.0, 1e308], [-1e308, 0.0]])
+    PURE = bloch_to_density((0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda m: partial_trace(m, 1), "two-qubit matrix"),
+        (hermitian_eigenvalues4, "matrix"),
+        (pauli_decompose, "two-qubit matrix"),
+        (lambda m: trace_distance(m, np.zeros((4, 4))), "first matrix"),
+        (lambda m: trace_distance(np.zeros((4, 4)), m), "second matrix"),
+    ], ids=["partial_trace", "hermitian_eigenvalues4", "pauli_decompose",
+            "trace_distance_first", "trace_distance_second"])
+    def test_huge_antihermitian_two_qubit(self, call, what):
+        # refused as not Hermitian, with no overflow warning first
+        with pytest.raises(NotHermitianError,
+                           match=rf"^{what} is not Hermitian \(residual inf\)$") as err:
+            call(self.HUGE_TWO_QUBIT)
+        assert err.type is NotHermitianError
+
+    @pytest.mark.parametrize("position, what", [(0, "input state"), (1, "clone state")])
+    def test_huge_antihermitian_overlap_fidelity(self, position, what):
+        args = [self.PURE, self.PURE]
+        args[position] = self.HUGE_ONE_QUBIT
+        with pytest.raises(NotHermitianError,
+                           match=rf"^{what} is not Hermitian \(residual inf\)$") as err:
+            overlap_fidelity(*args)
+        assert err.type is NotHermitianError
+
+    @pytest.mark.parametrize("entry", [1e200, 1e308, 1e200 + 1e200j])
+    def test_huge_hermitian_pair_passes_the_check(self, entry):
+        # the overflow guard must not refuse a finite Hermitian matrix
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1], m[1, 0] = entry, np.conj(entry)
+        reduced = partial_trace(m, 2)
+        assert np.isfinite(reduced).all()

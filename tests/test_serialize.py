@@ -54,3 +54,21 @@ class TestTable:
         text = "".join(table.chunks(self.blocks(table)))
         whole = {**head, "header": list(self.HEADER), "rows": [list(r) for r in self.ROWS]}
         assert text == dump_json(whole)
+
+
+class TestLibraryValues:
+    """Arrays and missing values reach the emitter as the library returns them."""
+
+    def test_complex_array_is_nested_re_im_pairs(self):
+        matrix = np.array([[1 / 3, -0.1j], [0.1j, -0.0 + 2j]])
+        expected = [[[1 / 3, 0.0], [0.0, -0.1]], [[0.0, 0.1], [0.0, 2.0]]]
+        assert dump_json(matrix) == dump_json(expected)
+        assert dump_json(np.complex128(1 + 2j)) == dump_json(1 + 2j) == "[1, 2]\n"
+
+    def test_real_array_is_nested_lists(self):
+        matrix = np.array([[1 / 3, -0.0], [2.0, 1e22]])
+        assert dump_json(matrix) == dump_json(matrix.tolist())
+
+    def test_missing_value_is_null_in_json_and_an_empty_csv_cell(self):
+        assert dump_json({"mc_estimate": None}) == '{"mc_estimate": null}\n'
+        assert list(csv_lines(("a", "b", "c"), [(None, 0.5, None)])) == ["a,b,c", ",0.5,"]
