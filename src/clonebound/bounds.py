@@ -12,7 +12,8 @@ Two independent routes to the same number:
   row with a point whose four eigenvalues pass the package's one
   positivity verdict (`pauli.is_positive`).  The ceiling grows with
   t, so that row holds the largest feasible eta on the whole (t, t_xy)
-  grid, and only one row is ever in memory.
+  grid.  Rows are scanned in blocks of at most 2**14 cells, or one row
+  when a row is longer, so memory stays bounded at any resolution.
 
 The grid acts as the brute-force check on the closed form, so it must
 never report a larger eta; ties between grid points resolve
@@ -32,6 +33,8 @@ from .pauli import is_positive
 
 #: the largest grid resolution accepted anywhere: one axis of it is 0.8 MB
 MAX_RESOLUTION = 100_001
+#: the most (t, t_xy) cells one numpy pass of the grid scan holds
+_GRID_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -91,36 +94,43 @@ def _matrix_entry_eigenvalues(eta, t, t_xy):
 
 
 def max_eta_grid(resolution: int) -> BoundResult:
-    """Brute-force scan of (t, t_xy) in [-1, 1]^2, one t row at a time.
+    """Brute-force scan of (t, t_xy) in [-1, 1]^2, a block of t rows at a time.
 
     For each grid pair the candidate eta is its ceiling (1 + t)/2; the
     pair survives if all four matrix eigenvalues at that eta pass
     `is_positive` (>= -1e-9).  The ceiling grows strictly with t, and
     distinct grid t give distinct eta, so walking t down from +1 and
     stopping at the first row with a survivor finds the largest eta on
-    the whole grid while holding one row of `resolution` values.  Every
-    survivor in that row ties; ties resolve deterministically to the
-    t_xy of smallest magnitude (negative side first on exact magnitude
-    ties), tracking the true t_xy = 0 maximizer at every resolution.
+    the whole grid while holding a block of at most 2**14 cells, or one
+    row of `resolution` values when a row is longer.  Every survivor in
+    that row ties; ties resolve deterministically to the t_xy of
+    smallest magnitude (negative side first on exact magnitude ties),
+    tracking the true t_xy = 0 maximizer at every resolution.
     """
     resolution = int(resolution)
     if not 3 <= resolution <= MAX_RESOLUTION:
         raise InvalidResolutionError(
             f"grid resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    for t in axis[::-1]:
+    descending = axis[::-1]
+    rows = max(1, _GRID_CELLS // resolution)
+    for lo in range(0, resolution, rows):
+        t = descending[lo:lo + rows, None]
         eta = (1.0 + t) / 2.0
-        ok = np.ones(resolution, dtype=bool)
+        ok = np.ones((len(t), resolution), dtype=bool)
         for lam in _matrix_entry_eigenvalues(eta, t, axis):
             ok &= is_positive(lam)
-        if ok.any():
-            t_xy = axis[ok]
+        hits = ok.any(axis=1)
+        if hits.any():
+            row = hits.argmax()  # the first, at the largest t
+            eta_max = float(eta[row, 0])
+            t_xy = axis[ok[row]]
             pick = np.lexsort((t_xy, np.abs(t_xy)))[0]
             return BoundResult(
-                eta_max=float(eta),
-                t_star=float(t),
+                eta_max=eta_max,
+                t_star=float(t[row, 0]),
                 t_xy_star=float(t_xy[pick]),
-                fidelity_max=(1.0 + float(eta)) / 2.0,
+                fidelity_max=(1.0 + eta_max) / 2.0,
                 method="grid",
             )
     raise RuntimeError("no feasible grid point; the domain is wrong")

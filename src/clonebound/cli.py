@@ -16,7 +16,7 @@ Subcommands:
 
 Each handler validates its flags and returns (exit status, output
 chunks), made as they are written: `sweep` makes one chunk per piece of
-at most `_PIECE_ROWS` rows of an (eta, t) block, handing `serialize.Table`
+at most `_PIECE_ROWS` rows of an eta block, handing `serialize.Table`
 columns to format, so its memory is one piece of text.  `main` writes the
 chunks, to stdout or to `--out`, created once flags are valid.
 
@@ -33,6 +33,7 @@ import dataclasses
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -222,27 +223,33 @@ def _cmd_signal(args):
 _SWEEP_HEADER = (
     "eta", "t", "t_xy", "lam1", "lam2", "lam3", "lam4", "feasible", "fidelity",
 )
-#: the most t_xy rows a sweep chunk holds, so its text is bounded at any --resolution
+#: the most rows a sweep chunk holds, so its text is bounded at any --resolution
 _PIECE_ROWS = 1024
 
 
 def _sweep_blocks(table, resolution: int):
     """Column blocks over the (eta, t, t_xy) grid, one `_spectrum` call per piece.
 
-    The axis takes R distinct values, so its cell text is made once; each
-    piece of a block formats only its four eigenvalue columns.
+    A piece is a rectangle of one eta block: whole t_xy rows of as many
+    t as fit in `_PIECE_ROWS` rows, or, when one t row is longer, a
+    `_PIECE_ROWS` slice of it.  The axis takes R distinct values, so its
+    cell text is made once; each piece formats only its four eigenvalue
+    columns.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
-    values, cells = axis.tolist(), table.floats(axis)
-    pieces = [(axis[lo:lo + _PIECE_ROWS], cells[lo:lo + _PIECE_ROWS])
-              for lo in range(0, resolution, _PIECE_ROWS)]
-    for eta, eta_cell in zip(values, cells):
+    cells = table.floats(axis)
+    n_t = max(1, _PIECE_ROWS // resolution)
+    width = min(resolution, _PIECE_ROWS)
+    for eta, eta_cell in zip(axis.tolist(), cells):
         fidelity = table.floats((1.0 + eta) / 2.0)[0]
-        for t, t_cell in zip(values, cells):
-            for t_xy, t_xy_cells in pieces:
-                lams = _spectrum(eta, t, t_xy)
-                yield (eta_cell, t_cell, t_xy_cells, *table.floats(lams),
-                       table.flags(is_positive(lams[3])), fidelity)
+        for t_lo, xy_lo in product(range(0, resolution, n_t), range(0, resolution, width)):
+            t_xy_cells = cells[xy_lo:xy_lo + width]
+            t_cells = cells[t_lo:t_lo + n_t]
+            lams = _spectrum(eta, axis[t_lo:t_lo + n_t, None],
+                             axis[xy_lo:xy_lo + width]).reshape(4, -1)
+            yield (eta_cell, [c for c in t_cells for _ in t_xy_cells],
+                   t_xy_cells * len(t_cells), *table.floats(lams),
+                   table.flags(is_positive(lams[3])), fidelity)
 
 
 def _cmd_sweep(args):

@@ -21,7 +21,7 @@ means operationally.  Every output is therefore a U (x) U conjugate of
 the z-frame template and shares its spectrum.  For constrained points
 that spectrum has one closed form, `_spectrum`, which broadcasts over
 arrays: `positivity_eigenvalues` takes it per point and the CLI sweep
-per grid row.
+per piece.
 
 The no-signaling difference rho(+a) + rho(-a) - rho(+b) - rho(-b) comes
 from the correlation sum alone: the identity and the eta terms cancel
@@ -121,7 +121,7 @@ class GeneralClonerParams:
         return self.t
 
     def to_json_dict(self) -> dict:
-        return {"eta": self.eta, "t_matrix": [[float(v) for v in row] for row in self.t]}
+        return {"eta": self.eta, "t_matrix": self.t.tolist()}
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clonebound import bounds
 from clonebound.bounds import (
     BoundResult,
     _matrix_entry_eigenvalues,
@@ -139,6 +140,13 @@ class TestGrid:
     def test_row_scan_matches_full_plane(self):
         # repr tells -0.0 from 0.0 and prints every float exactly
         for resolution in [*range(3, 121), 201, 400, 401]:
+            assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_blocks_of_rows_match_full_plane(self, monkeypatch, rows):
+        # the optimum row falls at every offset within a block of `rows`
+        for resolution in [*range(3, 61), 201]:
+            monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
             assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
 
     def test_memory_is_one_row(self):

@@ -286,8 +286,23 @@ class TestSweep:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt, size, digest", [
+        ("csv", 2454556, "336967569b54257830fcdee3e2fccd8c724e29c64d9fd6f2794762278474b3a7"),
+        ("json", 3505717, "3048b8078ba74ff4f6c8f6e523b31f6101e1bd34e1851e51c996ee6cc2e828dc"),
+    ], ids=["csv", "json"])
+    def test_split_block_output_is_pinned(self, capsys, fmt, size, digest):
+        # an eta block of 33 * 33 = 1089 rows is more than one 1024-row piece
+        status, out, _ = run(capsys, ["sweep", "--resolution", "33", "--format", fmt])
+        assert status == 0
+        data = out.encode("utf-8")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_memory_is_one_row(self, tmp_path, fmt):
+    def test_memory_is_one_row(self, tmp_path, monkeypatch, fmt):
+        # R = 6 writes two t rows per piece and R = 12 one, 12 rows each
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 12)
+
         def peak(resolution):
             argv = ["sweep", "--resolution", str(resolution), "--format", fmt,
                     "--out", str(tmp_path / "sweep")]
@@ -305,10 +320,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_pieces_join_into_the_same_bytes(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "_PIECE_ROWS", 2)  # R = 5 rows as pieces of 2, 2, 1
-        status, out, _ = run(capsys, ["sweep", "--resolution", "5", "--format", fmt])
-        assert status == 0
-        assert out == sweep_output(5, fmt)
+        # at R = 5: 2 cuts each t row into 2, 2, 1; 10 takes two t rows and
+        # then the one left; 25 takes the whole eta block
+        for piece_rows in (2, 10, 25):
+            monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
+            status, out, _ = run(capsys, ["sweep", "--resolution", "5", "--format", fmt])
+            assert status == 0
+            assert out == sweep_output(5, fmt), piece_rows
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_is_flat_in_resolution(self, fmt):
@@ -326,8 +344,8 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        # the landscape's and the default sweep's blocks are one piece each
-        assert sum(1 for _ in chunks(25)) == 25 * 25 + 2
+        # the landscape's and the default sweep's eta blocks are one piece each
+        assert sum(1 for _ in chunks(25)) == 25 + 2
 
 
 class TestOutputPlumbing:
@@ -521,8 +539,23 @@ class TestDeterminism:
         assert first[1] != ""
 
     #: exact stdout of reports whose fields pass through the emitter:
-    #: CSV and JSON `signal`, with and without a Monte Carlo estimate
+    #: CSV and JSON `signal`, with and without a Monte Carlo estimate, and
+    #: the grid's optimum at the default resolution and off t = 1/3
     PINNED = {
+        "optimize": (
+            ["optimize"],
+            '{"closed_form": {"eta_max": 0.66666666666666663, "fidelity_max": 0.83333333333333326, '
+            '"method": "closed_form", "t_star": 0.33333333333333331, "t_xy_star": 0}, '
+            '"command": "optimize", "discrepancy": 0.00016666666666664831, '
+            '"grid": {"eta_max": 0.66649999999999998, "fidelity_max": 0.83325000000000005, '
+            '"method": "grid", "t_star": 0.33299999999999996, "t_xy_star": 0}, '
+            '"resolution": 2001}\n'),
+        "optimize_grid_1000": (
+            ["optimize", "--method", "grid", "--resolution", "1000"],
+            '{"closed_form": null, "command": "optimize", "discrepancy": 0.0010010010010009784, '
+            '"grid": {"eta_max": 0.66566566566566565, "fidelity_max": 0.83283283283283283, '
+            '"method": "grid", "t_star": 0.3313313313313313, '
+            '"t_xy_star": -0.0010010010010009784}, "resolution": 1000}\n'),
         "signal_csv": (
             ["signal", "--t_diag", "0,0,1/3", "--shots", "100", "--format", "csv"],
             "axis_a_x,axis_a_y,axis_a_z,axis_b_x,axis_b_y,axis_b_z,trace_distance,"

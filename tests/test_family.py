@@ -91,6 +91,8 @@ class TestParamTypes:
     def test_general_params_json_round_trip(self):
         p = GeneralClonerParams(eta=0.1, t=np.diag([0.0, 0.0, 1 / 3]))
         d = p.to_json_dict()
+        assert d["t_matrix"] == p.t.tolist()
+        assert all(type(v) is float for row in d["t_matrix"] for v in row)
         q = GeneralClonerParams(d["eta"], d["t_matrix"])
         np.testing.assert_array_equal(p.t, q.t)
         assert p.eta == q.eta
