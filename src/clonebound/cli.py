@@ -12,13 +12,16 @@ Subcommands:
     optimize   report the maximal shrink factor, analytic and/or grid
     clone      run the universal cloner on a pure input direction
     signal     analytic + Monte-Carlo axis-distinguishing experiment
-    sweep      CSV feasibility landscape over (eta, t, t_xy)
+    sweep      CSV or JSON feasibility landscape over (eta, t, t_xy)
 
 Each handler validates its flags and returns (exit status, output
 chunks), made as they are written: `sweep` makes one chunk per piece of
 at most `_PIECE_ROWS` rows of an eta block, handing `serialize.Table`
-columns to format, so its memory is one piece of text.  `main` writes the
-chunks, to stdout or to `--out`, created once flags are valid.
+columns of cell text, so its memory is one piece of text.  It formats
+each distinct eigenvalue once, and keeps one piece's central-pair text
+in a slot that the next eta block reuses when its piece is the same
+rectangle.  `main` writes the chunks, to stdout or to `--out`, created
+once flags are valid.
 
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
@@ -43,6 +46,8 @@ from .family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
+    _central_levels,
+    _outer_levels,
     _require_unit_axis,
     _spectrum,
     axial_covariance_residual,
@@ -227,28 +232,46 @@ _SWEEP_HEADER = (
 _PIECE_ROWS = 1024
 
 
+def _level_text(table, levels):
+    """Each value of a pair of level arrays, paired with its cell text."""
+    values = np.ravel(levels)
+    return zip(values.tolist(), table.floats(values))
+
+
 def _sweep_blocks(table, resolution: int):
     """Column blocks over the (eta, t, t_xy) grid, one `_spectrum` call per piece.
 
     A piece is a rectangle of one eta block: whole t_xy rows of as many
     t as fit in `_PIECE_ROWS` rows, or, when one t row is longer, a
-    `_PIECE_ROWS` slice of it.  The axis takes R distinct values, so its
-    cell text is made once; each piece formats only its four eigenvalue
-    columns.
+    `_PIECE_ROWS` slice of it.  Text is made once per distinct value:
+    the axis's R cells once, and per piece the outer eigenvalue pair
+    once per t.  The central pair, which eta does not move, is made once
+    per rectangle into one slot, a value -> text dict keyed by the
+    rectangle's corner; the next eta block reuses it when its piece is
+    the same rectangle, which holds for every block when an eta block is
+    one piece (R <= 32 at 1024 rows) and for none otherwise.  The slot
+    gains the outer text of each piece that uses it, so it holds at most
+    2 * `_PIECE_ROWS` central and 2 * `_PIECE_ROWS` outer values at any R.
+    Each eigenvalue cell is its sorted value looked up there: `_spectrum`
+    sorts the helpers' own values, so every lookup finds its key.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
     cells = table.floats(axis)
     n_t = max(1, _PIECE_ROWS // resolution)
     width = min(resolution, _PIECE_ROWS)
+    slot, text = None, {}
     for eta, eta_cell in zip(axis.tolist(), cells):
         fidelity = table.floats((1.0 + eta) / 2.0)[0]
         for t_lo, xy_lo in product(range(0, resolution, n_t), range(0, resolution, width)):
+            t, t_xy = axis[t_lo:t_lo + n_t, None], axis[xy_lo:xy_lo + width]
+            if slot != (t_lo, xy_lo):
+                slot, text = (t_lo, xy_lo), dict(_level_text(table, _central_levels(t, t_xy)))
+            text.update(_level_text(table, _outer_levels(eta, t)))
+            lams = _spectrum(eta, t, t_xy).reshape(4, -1)
             t_xy_cells = cells[xy_lo:xy_lo + width]
             t_cells = cells[t_lo:t_lo + n_t]
-            lams = _spectrum(eta, axis[t_lo:t_lo + n_t, None],
-                             axis[xy_lo:xy_lo + width]).reshape(4, -1)
-            yield (eta_cell, [c for c in t_cells for _ in t_xy_cells],
-                   t_xy_cells * len(t_cells), *table.floats(lams),
+            yield (eta_cell, [c for c in t_cells for _ in t_xy_cells], t_xy_cells * len(t_cells),
+                   *(list(map(text.__getitem__, lam.tolist())) for lam in lams),
                    table.flags(is_positive(lams[3])), fidelity)
 
 

@@ -21,7 +21,9 @@ means operationally.  Every output is therefore a U (x) U conjugate of
 the z-frame template and shares its spectrum.  For constrained points
 that spectrum has one closed form, `_spectrum`, which broadcasts over
 arrays: `positivity_eigenvalues` takes it per point and the CLI sweep
-per piece.
+per piece.  It sorts two level pairs, `_outer_levels` over (eta, t)
+and `_central_levels` over (t, t_xy), which the sweep also formats
+apart, once per distinct value.
 
 The no-signaling difference rho(+a) + rho(-a) - rho(+b) - rho(-b) comes
 from the correlation sum alone: the identity and the eta terms cancel
@@ -321,17 +323,27 @@ def _opposite_difference(params, a, b):
     return (diff @ _CORR_BASIS).reshape(a.shape[:-1] + (4, 4)) / 4.0, rot
 
 
+def _outer_levels(eta, t):
+    """The outer eigenvalue pair (1 +- 2 eta + t)/4, which t_xy does not move."""
+    return (1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0
+
+
+def _central_levels(t, t_xy):
+    """The central 2x2 block's pair (1 - t +- 2 sqrt(t^2 + t_xy^2))/4, which eta does not move."""
+    pair = 2.0 * np.hypot(t, t_xy)
+    return (1.0 - t + pair) / 4.0, (1.0 - t - pair) / 4.0
+
+
 def _spectrum(eta, t, t_xy):
     """The closed-form output eigenvalues, descending along the first axis.
 
-    The z-frame matrix block-diagonalizes: the outer levels are
-    (1 +- 2 eta + t)/4 and the central 2x2 block contributes
-    (1 - t +- 2 sqrt(t^2 + t_xy^2))/4.  eta, t and t_xy broadcast, and
-    the result has shape (4,) + their broadcast shape.
+    The z-frame matrix block-diagonalizes into the outer pair over
+    (eta, t) and the central pair over (t, t_xy); the spectrum is their
+    descending sort, so each value is bit for bit a value of one helper.
+    eta, t and t_xy broadcast, and the result has shape (4,) + their
+    broadcast shape.
     """
-    pair = 2.0 * np.hypot(t, t_xy)
-    levels = np.broadcast_arrays((1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0,
-                                 (1.0 - t + pair) / 4.0, (1.0 - t - pair) / 4.0)
+    levels = np.broadcast_arrays(*_outer_levels(eta, t), *_central_levels(t, t_xy))
     return np.sort(levels, axis=0)[::-1]
 
 

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clonebound import cli
+from clonebound import cli, serialize
 from clonebound.bounds import feasible
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import is_positive
-from clonebound.serialize import Table, dump_json
+from clonebound.serialize import Table, dump_json, format_floats
 from clonebound.signaling import averaged_clone_output, helstrom_projector
 from reference import sweep_output
 
@@ -298,6 +298,38 @@ class TestSweep:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("fmt, size, digest", [
+        ("csv", 3219825, "5282dcc30f647e0e04ab69dc6d02430a02051aa7114c4ac4898f0e9ea92733a5"),
+        ("json", 5728677, "72773094ce355fe80a82c83a785d5492cd7d9a9c9ea584d3c9f01260024aa575"),
+    ], ids=["csv", "json"])
+    def test_one_piece_block_output_is_pinned(self, capsys, fmt, size, digest):
+        # the largest eta block that is one 1024-row piece, 32 * 32 rows:
+        # 31 of its 32 blocks reuse the central eigenvalue text of the first
+        status, out, _ = run(capsys, ["sweep", "--resolution", "32", "--format", fmt])
+        assert status == 0
+        data = out.encode("utf-8")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_formats_each_level_once(self, tmp_path, monkeypatch, fmt):
+        # the four eigenvalue columns hold ~4 R^2 distinct values among
+        # their 4 R^3 cells: the outer pair per (eta, t), the central pair
+        # per (t, t_xy); formatting every cell would be ~55k values here
+        formatted = []
+
+        def counting(values, digits):
+            cells = format_floats(values, digits)
+            formatted.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(serialize, "format_floats", counting)
+        resolution = 24
+        argv = ["sweep", "--resolution", str(resolution), "--format", fmt,
+                "--out", str(tmp_path / "sweep")]
+        assert cli.main(argv) == 0
+        assert sum(formatted) <= 5 * resolution ** 2
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_is_one_row(self, tmp_path, monkeypatch, fmt):
         # R = 6 writes two t rows per piece and R = 12 one, 12 rows each
@@ -313,7 +345,10 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
 
-        peak(3)  # first-call allocations (imports, caches) stay out of the ratio
+        # each size runs once unmeasured, so first-call allocations
+        # (imports, caches, a new piece shape) stay out of the ratio
+        peak(6)
+        peak(12)
         # doubling R gives 8x the points, and output held whole ~6-7x the
         # peak; R = 41 against 21 reads the same at ~40x the traced time
         assert peak(12) <= 1.5 * peak(6)
