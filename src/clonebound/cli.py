@@ -16,12 +16,14 @@ Subcommands:
 
 Each handler validates its flags and returns (exit status, output
 chunks), made as they are written: `sweep` makes one chunk per piece of
-at most `_PIECE_ROWS` rows of an eta block, handing `serialize.Table`
-columns of cell text, so its memory is one piece of text.  It formats
-each distinct eigenvalue once, and keeps one piece's central-pair text
-in a slot that the next eta block reuses when its piece is the same
+at most `_PIECE_ROWS` rows of an eta block.  A piece is a pool of
+distinct cell texts and, per row, integer indices into it that numpy
+computes, so `serialize.Table` writes it with one gather and one join,
+and memory holds one piece at any `--resolution`.  Each distinct
+eigenvalue is formatted once, and one slot keeps a piece's pair and
+central-level text for the next eta block when its piece is the same
 rectangle.  `main` writes the chunks, to stdout or to `--out`, created
-once flags are valid.
+once flags are valid; its parser is built once per process.
 
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
@@ -33,10 +35,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -49,7 +51,6 @@ from .family import (
     _central_levels,
     _outer_levels,
     _require_unit_axis,
-    _spectrum,
     axial_covariance_residual,
     covariance_constraint_residual,
     min_output_eigenvalue,
@@ -232,47 +233,73 @@ _SWEEP_HEADER = (
 _PIECE_ROWS = 1024
 
 
-def _level_text(table, levels):
-    """Each value of a pair of level arrays, paired with its cell text."""
-    values = np.ravel(levels)
-    return zip(values.tolist(), table.floats(values))
-
-
 def _sweep_blocks(table, resolution: int):
-    """Column blocks over the (eta, t, t_xy) grid, one `_spectrum` call per piece.
+    """(pool, index) blocks over the (eta, t, t_xy) grid, one per piece.
 
     A piece is a rectangle of one eta block: whole t_xy rows of as many
     t as fit in `_PIECE_ROWS` rows, or, when one t row is longer, a
-    `_PIECE_ROWS` slice of it.  Text is made once per distinct value:
-    the axis's R cells once, and per piece the outer eigenvalue pair
-    once per t.  The central pair, which eta does not move, is made once
-    per rectangle into one slot, a value -> text dict keyed by the
-    rectangle's corner; the next eta block reuses it when its piece is
-    the same rectangle, which holds for every block when an eta block is
-    one piece (R <= 32 at 1024 rows) and for none otherwise.  The slot
-    gains the outer text of each piece that uses it, so it holds at most
-    2 * `_PIECE_ROWS` central and 2 * `_PIECE_ROWS` outer values at any R.
-    Each eigenvalue cell is its sorted value looked up there: `_spectrum`
-    sorts the helpers' own values, so every lookup finds its key.
+    `_PIECE_ROWS` slice of it.  Its pool holds each word once: per cell
+    the "t, t_xy" pair and the central eigenvalue pair, per t the outer
+    pair, then the eta cell that opens a row and the four words that
+    end one (each flag, the fidelity, and the next row's eta or the
+    close).  Pair and central words, which eta does not move, are made
+    once per rectangle into one slot; the next eta block reuses it when
+    its piece is the same rectangle, which holds for every block when an
+    eta block is one piece (R <= 32 at 1024 rows) and for none otherwise.
+    A row's index is its pair, its four levels in descending order, and
+    its end: each pair is sorted, so a compare network merges them, and
+    `is_positive` on the lower low picks the end.  The axis text is made
+    once when R <= `_PIECE_ROWS` and per piece beyond that, so at any R
+    memory is one piece's pool, index and text beside the float axis.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
-    cells = table.floats(axis)
     n_t = max(1, _PIECE_ROWS // resolution)
     width = min(resolution, _PIECE_ROWS)
-    slot, text = None, {}
-    for eta, eta_cell in zip(axis.tolist(), cells):
+    whole = table.cells(axis) if resolution <= _PIECE_ROWS else None
+
+    def axis_cells(lo, n):
+        return whole[lo:lo + n] if whole else table.cells(axis[lo:lo + n])
+
+    slot = None
+    for k in range(resolution):
+        eta = axis[k]
+        eta_cell = axis_cells(k, 1)[0]
         fidelity = table.floats((1.0 + eta) / 2.0)[0]
-        for t_lo, xy_lo in product(range(0, resolution, n_t), range(0, resolution, width)):
-            t, t_xy = axis[t_lo:t_lo + n_t, None], axis[xy_lo:xy_lo + width]
-            if slot != (t_lo, xy_lo):
-                slot, text = (t_lo, xy_lo), dict(_level_text(table, _central_levels(t, t_xy)))
-            text.update(_level_text(table, _outer_levels(eta, t)))
-            lams = _spectrum(eta, t, t_xy).reshape(4, -1)
-            t_xy_cells = cells[xy_lo:xy_lo + width]
-            t_cells = cells[t_lo:t_lo + n_t]
-            yield (eta_cell, [c for c in t_cells for _ in t_xy_cells], t_xy_cells * len(t_cells),
-                   *(list(map(text.__getitem__, lam.tolist())) for lam in lams),
-                   table.flags(is_positive(lams[3])), fidelity)
+        frame = [eta_cell, *table.row_ends(fidelity, eta_cell)]
+        for t_lo in range(0, resolution, n_t):
+            t = axis[t_lo:t_lo + n_t, None]
+            for xy_lo in range(0, resolution, width):
+                if slot != (t_lo, xy_lo):
+                    t_xy = axis[xy_lo:xy_lo + width]
+                    m, w, n = len(t), len(t_xy), len(t) * len(t_xy)
+                    b1, b2 = np.broadcast_arrays(*_central_levels(t, t_xy))
+                    # pool: pair words, central high, central low, outer high, outer low, frame
+                    pairs = [a + b for a in axis_cells(t_lo, m) for b in axis_cells(xy_lo, w)]
+                    head = np.array(pairs + table.cells((b1, b2)), dtype=object)
+                    cell = np.arange(n).reshape(m, w)
+                    b1_word, b2_word = cell + n, cell + 2 * n
+                    a1_word = 3 * n + np.arange(m)[:, None]
+                    a2_word, lead = a1_word + m, 3 * n + 2 * m
+                    slot = (t_lo, xy_lo)
+                outer = _outer_levels(eta, t)
+                a1, a2 = np.maximum(*outer), np.minimum(*outer)
+                pool = np.concatenate((head, np.array(table.cells((a1, a2)) + frame, dtype=object)))
+                # merge the outer pair a1 >= a2 with the central b1 >= b2: the
+                # top is the higher high, the bottom the lower low, the rest between
+                hi, lo = b1 > a1, b2 < a2
+                mid_hi, mid_lo = np.where(hi, a1_word, b1_word), np.where(lo, a2_word, b2_word)
+                swap = np.maximum(a2, b2) > np.minimum(a1, b1)
+                index = np.empty(6 * n + 1, dtype=np.intp)
+                index[0] = lead
+                rows = index[1:].reshape(m, w, 6)
+                rows[..., 0] = cell
+                rows[..., 1] = np.where(hi, b1_word, a1_word)
+                rows[..., 2] = np.where(swap, mid_lo, mid_hi)
+                rows[..., 3] = np.where(swap, mid_hi, mid_lo)
+                rows[..., 4] = np.where(lo, b2_word, a2_word)
+                rows[..., 5] = lead + 1 + is_positive(np.minimum(a2, b2))
+                rows[-1, -1, 5] += 2  # the last row ends with the close
+                yield pool, index
 
 
 def _cmd_sweep(args):
@@ -304,6 +331,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache  # built once per process: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="clone-bound",

@@ -19,11 +19,10 @@ both marginals point along eta*m and the correlation matrix is R t R^T,
 i.e. it co-rotates with the input direction, which is what universality
 means operationally.  Every output is therefore a U (x) U conjugate of
 the z-frame template and shares its spectrum.  For constrained points
-that spectrum has one closed form, `_spectrum`, which broadcasts over
-arrays: `positivity_eigenvalues` takes it per point and the CLI sweep
-per piece.  It sorts two level pairs, `_outer_levels` over (eta, t)
-and `_central_levels` over (t, t_xy), which the sweep also formats
-apart, once per distinct value.
+that spectrum has one closed form: two level pairs, `_outer_levels`
+over (eta, t) and `_central_levels` over (t, t_xy).  `_spectrum` sorts
+them, per point for `positivity_eigenvalues`; the CLI sweep formats
+each pair apart, once per distinct value, and merges the sorted pairs.
 
 The no-signaling difference rho(+a) + rho(-a) - rho(+b) - rho(-b) comes
 from the correlation sum alone: the identity and the eta terms cancel

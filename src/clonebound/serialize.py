@@ -10,13 +10,13 @@ points, and LF line endings; a missing value (None) is an empty cell.
 `format_floats` is the one float-to-text rule, a column at a time: a
 report's single float is its one-value case.  `Table` writes long tables
 (the CLI sweep) in blocks of rows: each distinct cell is formatted once
-per column and the rows are joined from the cell strings.
+into a pool of words, and a block's text is gathered from the pool by
+index and joined once.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
 
 import numpy as np
 
@@ -94,9 +94,12 @@ class Table:
 
     CSV is the header line, then one line per row with flags as 0/1.
     JSON is `dump_json({**head, "header": header, "rows": rows})`, with
-    flags as false/true.  A block is a sequence of columns of cell text,
-    from `floats` and `flags`; a single string is one cell repeated on
-    every row of the block.
+    flags as false/true.  A block is (pool, index): `pool` an object
+    array of words, `index` the integer positions of the words that, in
+    order, spell the block's rows, so its text is one gather and one
+    join.  A word is cell text with the separator that follows it:
+    `cells` ends each float cell with the cell separator, and `row_ends`
+    ends a row, then opens the next or closes the block.
     """
 
     def __init__(self, fmt: str, header, head: dict):
@@ -112,26 +115,25 @@ class Table:
             self._cell, self._open, self._close, self._between = ", ", "[", "]", ", "
 
     def floats(self, values) -> list:
-        """Cell text of a float column, or one column per row of a 2-D array."""
-        values = np.asarray(values, dtype=float)
-        cells = format_floats(values, self._digits)
-        if values.ndim < 2:
-            return cells
-        n = values.shape[-1]
-        return [cells[i:i + n] for i in range(0, len(cells), n)]
+        """Cell text of every float in `values`, flattened."""
+        return format_floats(values, self._digits)
 
-    def flags(self, values) -> list:
-        words = self._flag_words
-        return [words[v] for v in np.asarray(values, dtype=bool).ravel().tolist()]
+    def cells(self, values) -> list:
+        """`floats`, each followed by the cell separator."""
+        return [c + self._cell for c in self.floats(values)]
+
+    def row_ends(self, tail: str, lead: str) -> list:
+        """Words ending a row on a flag cell and `tail`, false then true:
+        before `lead` opens the next row, then before a block's close."""
+        ends = [f + self._cell + tail for f in self._flag_words]
+        row_break = self._close + self._between + self._open + lead
+        return [e + row_break for e in ends] + [e + self._close for e in ends]
 
     def chunks(self, blocks):
-        """The table's text: the start, one chunk per block of columns, the end."""
+        """The table's text: the start, one chunk per (pool, index) block, the end."""
         yield self._start
-        row_break = self._close + self._between + self._open
         between = ""
-        for columns in blocks:
-            cells = (repeat(c) if isinstance(c, str) else c for c in columns)
-            rows = map(self._cell.join, zip(*cells))
-            yield between + self._open + row_break.join(rows) + self._close
+        for pool, index in blocks:
+            yield between + self._open + "".join(pool[index].tolist())
             between = self._between
         yield self._end

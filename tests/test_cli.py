@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from clonebound import cli, serialize
-from clonebound.bounds import feasible
+from clonebound.bounds import MAX_RESOLUTION, feasible
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import is_positive
 from clonebound.serialize import Table, dump_json, format_floats
@@ -267,7 +267,7 @@ class TestSweep:
         assert "error" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("resolution", [3, 4, 5, 7])
+    @pytest.mark.parametrize("resolution", [3, 4, 5, 7, 9])
     def test_matches_point_by_point_reference(self, capsys, resolution, fmt):
         status, out, _ = run(capsys, ["sweep", "--resolution", str(resolution), "--format", fmt])
         assert status == 0
@@ -356,12 +356,14 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_pieces_join_into_the_same_bytes(self, capsys, monkeypatch, fmt):
         # at R = 5: 2 cuts each t row into 2, 2, 1; 10 takes two t rows and
-        # then the one left; 25 takes the whole eta block
-        for piece_rows in (2, 10, 25):
+        # then the one left; 25 takes the whole eta block; at R = 6: 4 cuts
+        # each t row into 4 and 2, and 7 takes one whole t row
+        for resolution, piece_rows in ((5, 2), (5, 10), (5, 25), (6, 4), (6, 7)):
             monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
-            status, out, _ = run(capsys, ["sweep", "--resolution", "5", "--format", fmt])
+            argv = ["sweep", "--resolution", str(resolution), "--format", fmt]
+            status, out, _ = run(capsys, argv)
             assert status == 0
-            assert out == sweep_output(5, fmt), piece_rows
+            assert out == sweep_output(resolution, fmt), piece_rows
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_is_flat_in_resolution(self, fmt):
@@ -381,6 +383,20 @@ class TestSweep:
         assert peak < 4 * 2**20
         # the landscape's and the default sweep's eta blocks are one piece each
         assert sum(1 for _ in chunks(25)) == 25 + 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_resolution(self, fmt):
+        # at the largest resolution the first 8 chunks hold one piece of
+        # text and the 0.8 MB float axis; no per-sweep text grows with R
+        table = Table(fmt, cli._SWEEP_HEADER, {"command": "sweep"})
+        tracemalloc.start()
+        try:
+            for _ in zip(range(8), table.chunks(cli._sweep_blocks(table, MAX_RESOLUTION))):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestOutputPlumbing:

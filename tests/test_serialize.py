@@ -36,10 +36,14 @@ class TestTable:
     HEADER = ("x", "y", "ok", "label")
 
     def blocks(self, table):
-        # cell text: repeated strings, float and flag columns; integers as strings
-        yield (*table.floats([[1 / 3, -0.0]]), table.floats([0.1, 2.5]),
-               table.flags(np.array([True, False])), "7")
-        yield ("8", table.floats([1e22]), table.flags([True]), "9")
+        # (pool, index): float cells with their separator, then the words
+        # that end a row on a flag and a label; a row end leads with
+        # nothing here, so every row opens with its own x cell
+        ends = table.row_ends("7", "")
+        pool = table.cells([1 / 3, -0.0]) + table.cells([0.1, 2.5]) + ends
+        yield np.array(pool, dtype=object), np.array([0, 2, 5, 1, 3, 6])
+        ends = table.row_ends("9", "")
+        yield np.array(table.cells([8, 1e22]) + ends, dtype=object), np.array([0, 1, 5])
 
     ROWS = [(1 / 3, 0.1, True, 7), (0.0, 2.5, False, 7), (8, 1e22, True, 9)]
 
