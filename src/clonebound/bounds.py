@@ -84,15 +84,12 @@ def _matrix_entry_eigenvalues(eta, t, t_xy):
     reconstructs the values from the matrix layout (two decoupled
     diagonal entries plus a 2x2 Hermitian block) instead of reusing the
     closed-form expressions, so the grid search stays an independent
-    check on them.  The block's entry 2t + 2i t_xy is built part by part
-    as a complex array, with no mixed float + complex broadcast sum.
+    check on them.
     """
     d0 = (1.0 + 2.0 * eta + t) / 4.0
     d3 = (1.0 - 2.0 * eta + t) / 4.0
     block_diag = (1.0 - t) / 4.0
-    entry = np.empty(np.broadcast_shapes(np.shape(t), np.shape(t_xy)), dtype=complex)
-    entry.real, entry.imag = 2.0 * t, 2.0 * t_xy
-    block_off = np.abs(entry) / 4.0
+    block_off = np.abs(2.0 * t + 2.0j * t_xy) / 4.0
     return d0, d3, block_diag + block_off, block_diag - block_off
 
 

@@ -249,23 +249,18 @@ def _sweep_blocks(table, resolution: int):
     A row's index is its pair, its four levels in descending order, and
     its end: each pair is sorted, so a compare network merges them, and
     `is_positive` on the lower low picks the end.  The axis text is made
-    once when R <= `_PIECE_ROWS` and per piece beyond that, so at any R
-    memory is one piece's pool, index and text beside the float axis.
+    per piece as well, so at any R memory is one piece's pool, index and
+    text beside the float axis.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
     n_t = max(1, _PIECE_ROWS // resolution)
     width = min(resolution, _PIECE_ROWS)
-    whole = table.cells(axis) if resolution <= _PIECE_ROWS else None
-
-    def axis_cells(lo, n):
-        return whole[lo:lo + n] if whole else table.cells(axis[lo:lo + n])
-
     slot = None
     for k in range(resolution):
         eta = axis[k]
-        eta_cell = axis_cells(k, 1)[0]
-        fidelity = table.floats((1.0 + eta) / 2.0)[0]
-        frame = [eta_cell, *table.row_ends(fidelity, eta_cell)]
+        eta_text, fidelity = table.floats((eta, (1.0 + eta) / 2.0))
+        first, ends = table.row_frame(eta_text, fidelity)
+        frame = [first, *ends[0], *ends[1]]
         for t_lo in range(0, resolution, n_t):
             t = axis[t_lo:t_lo + n_t, None]
             for xy_lo in range(0, resolution, width):
@@ -274,12 +269,14 @@ def _sweep_blocks(table, resolution: int):
                     m, w, n = len(t), len(t_xy), len(t) * len(t_xy)
                     b1, b2 = np.broadcast_arrays(*_central_levels(t, t_xy))
                     # pool: pair words, central high, central low, outer high, outer low, frame
-                    pairs = [a + b for a in axis_cells(t_lo, m) for b in axis_cells(xy_lo, w)]
+                    xy_cells = table.cells(t_xy)
+                    pairs = [a + b for a in table.cells(t) for b in xy_cells]
                     head = np.array(pairs + table.cells((b1, b2)), dtype=object)
                     cell = np.arange(n).reshape(m, w)
                     b1_word, b2_word = cell + n, cell + 2 * n
                     a1_word = 3 * n + np.arange(m)[:, None]
                     a2_word, lead = a1_word + m, 3 * n + 2 * m
+                    end_word = lead + 1 + np.arange(4).reshape(2, 2)  # of ends[close][flag]
                     slot = (t_lo, xy_lo)
                 outer = _outer_levels(eta, t)
                 a1, a2 = np.maximum(*outer), np.minimum(*outer)
@@ -289,6 +286,7 @@ def _sweep_blocks(table, resolution: int):
                 hi, lo = b1 > a1, b2 < a2
                 mid_hi, mid_lo = np.where(hi, a1_word, b1_word), np.where(lo, a2_word, b2_word)
                 swap = np.maximum(a2, b2) > np.minimum(a1, b1)
+                flag = is_positive(np.minimum(a2, b2)).astype(np.intp)
                 index = np.empty(6 * n + 1, dtype=np.intp)
                 index[0] = lead
                 rows = index[1:].reshape(m, w, 6)
@@ -297,8 +295,8 @@ def _sweep_blocks(table, resolution: int):
                 rows[..., 2] = np.where(swap, mid_lo, mid_hi)
                 rows[..., 3] = np.where(swap, mid_hi, mid_lo)
                 rows[..., 4] = np.where(lo, b2_word, a2_word)
-                rows[..., 5] = lead + 1 + is_positive(np.minimum(a2, b2))
-                rows[-1, -1, 5] += 2  # the last row ends with the close
+                rows[..., 5] = end_word[0][flag]
+                rows[-1, -1, 5] = end_word[1][flag[-1, -1]]  # the last row closes the block
                 yield pool, index
 
 
@@ -331,7 +329,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-@functools.cache  # built once per process: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="clone-bound",
@@ -379,8 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: main's parser, built once per process: parse_args leaves it as it is
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         status, chunks = args.handler(args)

@@ -98,8 +98,8 @@ class Table:
     array of words, `index` the integer positions of the words that, in
     order, spell the block's rows, so its text is one gather and one
     join.  A word is cell text with the separator that follows it:
-    `cells` ends each float cell with the cell separator, and `row_ends`
-    ends a row, then opens the next or closes the block.
+    `cells` ends each float cell with the cell separator, and
+    `row_frame` gives the words that open a row and that end one.
     """
 
     def __init__(self, fmt: str, header, head: dict):
@@ -122,12 +122,15 @@ class Table:
         """`floats`, each followed by the cell separator."""
         return [c + self._cell for c in self.floats(values)]
 
-    def row_ends(self, tail: str, lead: str) -> list:
-        """Words ending a row on a flag cell and `tail`, false then true:
-        before `lead` opens the next row, then before a block's close."""
+    def row_frame(self, lead: str, tail: str):
+        """Words for rows that open on the cell `lead` and end on a flag
+        cell and `tail`: the opening word, and `ends[close][flag]`, which
+        ends a row and then opens the next one on `lead` (close 0) or
+        closes the block (close 1)."""
+        first = lead + self._cell
         ends = [f + self._cell + tail for f in self._flag_words]
-        row_break = self._close + self._between + self._open + lead
-        return [e + row_break for e in ends] + [e + self._close for e in ends]
+        row_break = self._close + self._between + self._open + first
+        return first, [[e + row_break for e in ends], [e + self._close for e in ends]]
 
     def chunks(self, blocks):
         """The table's text: the start, one chunk per (pool, index) block, the end."""

@@ -149,17 +149,6 @@ class TestGrid:
             monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
             assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
 
-    def test_block_entry_is_the_mixed_sum(self):
-        # the 2x2 block's entry, built as a complex array part by part,
-        # has the modulus of the float + complex sum 2t + 2i t_xy, bit for bit
-        rng = np.random.default_rng(16)
-        t = np.concatenate((rng.uniform(-1.0, 1.0, 300), [0.0, -0.0, 1.0, -1.0]))[:, None]
-        t_xy = np.concatenate((rng.uniform(-1.0, 1.0, 300), [0.0, -0.0, 1.0, -1.0]))
-        *_, high, low = _matrix_entry_eigenvalues((1.0 + t) / 2.0, t, t_xy)
-        block_off = np.abs(2.0 * t + 2.0j * t_xy) / 4.0
-        assert np.array_equal(high, (1.0 - t) / 4.0 + block_off)
-        assert np.array_equal(low, (1.0 - t) / 4.0 - block_off)
-
     def test_memory_is_one_row(self):
         # the whole 1001 x 1001 plane would need ~69 MiB
         tracemalloc.start()

@@ -36,14 +36,18 @@ class TestTable:
     HEADER = ("x", "y", "ok", "label")
 
     def blocks(self, table):
-        # (pool, index): float cells with their separator, then the words
-        # that end a row on a flag and a label; a row end leads with
-        # nothing here, so every row opens with its own x cell
-        ends = table.row_ends("7", "")
-        pool = table.cells([1 / 3, -0.0]) + table.cells([0.1, 2.5]) + ends
-        yield np.array(pool, dtype=object), np.array([0, 2, 5, 1, 3, 6])
-        ends = table.row_ends("9", "")
-        yield np.array(table.cells([8, 1e22]) + ends, dtype=object), np.array([0, 1, 5])
+        # each block spelled word by word, then made a (pool, index) pair:
+        # a row opens on its x cell, and a row end leads into the next x
+        def block(words):
+            return np.unique(np.array(words, dtype=object), return_inverse=True)
+
+        x = table.floats([1 / 3, -0.0, 8])
+        first, _ = table.row_frame(x[0], "7")
+        _, ends = table.row_frame(x[1], "7")
+        y = table.cells([0.1, 2.5])
+        yield block([first, y[0], ends[0][True], y[1], ends[1][False]])
+        first, ends = table.row_frame(x[2], "9")
+        yield block([first, *table.cells([1e22]), ends[1][True]])
 
     ROWS = [(1 / 3, 0.1, True, 7), (0.0, 2.5, False, 7), (8, 1e22, True, 9)]
 
