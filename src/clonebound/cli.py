@@ -14,20 +14,23 @@ Subcommands:
     signal     analytic + Monte-Carlo axis-distinguishing experiment
     sweep      CSV or JSON feasibility landscape over (eta, t, t_xy)
 
-Each handler validates its flags and returns (exit status, output
-chunks), made as they are written: `sweep` makes one chunk per piece of
-at most `_PIECE_ROWS` rows of an eta block.  A piece is a pool of
-distinct cell texts and, per row, integer indices into it that numpy
-computes, so `serialize.Table` writes it with one gather and one join,
-and memory holds one piece at any `--resolution`.  Each distinct
-eigenvalue is formatted once, and one slot keeps a piece's pair and
-central-level text for the next eta block when its piece is the same
-rectangle.  `main` writes the chunks, to stdout or to `--out`, created
-once flags are valid; its parser is built once per process.
+The parser validates every flag: its `add_argument` declares the
+default and a `type=` parser that checks the value and its range, so a
+bad value is refused as `argument --flag: ...`.  Each handler returns
+(exit status, output chunks), made as they are written: `sweep` makes
+one chunk per piece of at most `_PIECE_ROWS` rows of an eta block.  A
+piece is a pool of distinct cell texts and, per row, integer indices
+into it that numpy computes, so `serialize.Table` writes it with one
+gather and one join, and memory holds one piece at any `--resolution`.
+Each distinct eigenvalue is formatted once, and one slot keeps a
+piece's pair and central-level text for the next eta block when its
+piece is the same rectangle.  `main` writes the chunks, to stdout or to
+`--out`, created once flags are valid; its parser is built once per
+process.
 
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
-unwritable output path).
+unwritable output path), reported by `main` as one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 
 from .bounds import MAX_RESOLUTION, max_eta_closed_form, max_eta_grid
 from .buzek_hillery import bh_clone
+from .errors import InvalidBlochError
 from .family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
@@ -68,73 +72,65 @@ from .pauli import (
 from .serialize import Table, csv_lines, dump_json
 from .signaling import MAX_SHOTS, monte_carlo_signal
 
-#: the parser's default for every flag of every subcommand; the committed
-#: reference-config.json at the repository root mirrors this table
-DEFAULTS = {
-    "verify": {
-        "eta": 0.0, "t": 0.0, "t_xy": 0.0, "t_diag": None, "out": None,
-    },
-    "optimize": {
-        "method": "both", "resolution": 2001, "out": None,
-    },
-    "clone": {
-        "input": "0,0,1", "out": None,
-    },
-    "signal": {
-        "eta": 0.0, "t": 0.0, "t_xy": 0.0, "t_diag": None,
-        "axis_a": "0,0,1", "axis_b": "1,0,0",
-        "shots": 100000, "seed": 12345,
-        "format": "json", "out": None,
-    },
-    "sweep": {
-        "resolution": 13, "format": "csv", "out": None,
-    },
-}
-
 
 class _UsageError(ValueError):
     pass
 
 
-def _number(text: str, flag: str) -> float:
-    """Parse a decimal or fraction string ("0.25", "2/3", "-1/3") to a finite float for `flag`."""
+# the `type=` parsers: argparse reports their ArgumentTypeError as `argument --flag: ...`
+def _number(text: str) -> float:
+    """Parse a decimal or fraction string ("0.25", "2/3", "-1/3") to a finite float."""
     try:
         value = float(text)  # a decimal past the float range reads as inf
     except ValueError:
         try:
             value = float(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"{flag} is not a number: {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
         except OverflowError as exc:  # a fraction past the float range
-            raise _UsageError(f"{flag} is beyond the float range: {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"beyond the float range: {text!r}") from exc
     if not np.isfinite(value):
-        raise _UsageError(f"{flag} must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
-def _vector3(text: str, flag: str) -> np.ndarray:
+def _vector3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _UsageError(f"{flag} must be three comma-separated components, got {text!r}")
-    return np.array([_number(p, flag) for p in parts])
+        raise argparse.ArgumentTypeError(f"must be three comma-separated components, got {text!r}")
+    return np.array([_number(p) for p in parts])
 
 
-def _resolution(args) -> int:
-    resolution = int(args.resolution)
-    if not 3 <= resolution <= MAX_RESOLUTION:
-        raise _UsageError(f"--resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
-    return resolution
+def _unit_axis(text: str) -> np.ndarray:
+    try:
+        return _require_unit_axis(_vector3(text))
+    except InvalidBlochError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """A `type=` parser for integers in [lo, hi], or >= lo when hi is None."""
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _params_from_args(args) -> object:
     """Build ClonerParams, or GeneralClonerParams when --t_diag is given."""
-    eta = _number(args.eta, "--eta")
     if args.t_diag is not None:
-        if _number(args.t, "--t") != 0.0 or _number(args.t_xy, "--t_xy") != 0.0:
+        if args.t != 0.0 or args.t_xy != 0.0:
             raise _UsageError("--t_diag conflicts with non-zero --t / --t_xy")
-        diag = _vector3(args.t_diag, "--t_diag")
-        return GeneralClonerParams(eta=eta, t=np.diag(diag))
-    return ClonerParams(eta=eta, t=_number(args.t, "--t"), t_xy=_number(args.t_xy, "--t_xy"))
+        return GeneralClonerParams(eta=args.eta, t=np.diag(args.t_diag))
+    return ClonerParams(eta=args.eta, t=args.t, t_xy=args.t_xy)
 
 
 def _cmd_verify(args):
@@ -168,29 +164,27 @@ def _cmd_verify(args):
 
 
 def _cmd_optimize(args):
-    resolution = _resolution(args)
     report = {"command": "optimize", "closed_form": None, "grid": None,
               "resolution": None, "discrepancy": None}
     closed = max_eta_closed_form()
     if args.method in ("both", "closed_form"):
         report["closed_form"] = closed.to_json_dict()
     if args.method in ("both", "grid"):
-        grid = max_eta_grid(resolution)
+        grid = max_eta_grid(args.resolution)
         report["grid"] = grid.to_json_dict()
-        report["resolution"] = resolution
+        report["resolution"] = args.resolution
         # never negative: the grid cannot beat the analytic optimum
         report["discrepancy"] = closed.eta_max - grid.eta_max
     return 0, [dump_json(report)]
 
 
 def _cmd_clone(args):
-    direction = _require_unit_axis(_vector3(args.input, "--input"), "--input")
-    rho_in = bloch_to_density(direction)
+    rho_in = bloch_to_density(args.input)
     pair = bh_clone(rho_in)
     coeffs = pauli_decompose(pair)
     report = {
         "command": "clone",
-        "input": direction,
+        "input": args.input,
         "output_matrix": pair,
         "c00": coeffs.c00,
         "a": coeffs.a,
@@ -205,15 +199,8 @@ def _cmd_clone(args):
 
 def _cmd_signal(args):
     params = _params_from_args(args)
-    axis_a = _require_unit_axis(_vector3(args.axis_a, "--axis-a"), "--axis-a")
-    axis_b = _require_unit_axis(_vector3(args.axis_b, "--axis-b"), "--axis-b")
-    shots = int(args.shots)
-    if not 1 <= shots <= MAX_SHOTS:
-        raise _UsageError(f"--shots must be in [1, {MAX_SHOTS}], got {shots}")
-    seed = int(args.seed)
-    if seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {seed}")
-    fields = dataclasses.asdict(monte_carlo_signal(params, axis_a, axis_b, shots=shots, seed=seed))
+    fields = dataclasses.asdict(monte_carlo_signal(params, args.axis_a, args.axis_b,
+                                                   shots=args.shots, seed=args.seed))
     if args.format == "json":
         return 0, [dump_json({"command": "signal", **params.to_json_dict(), **fields})]
     # the report's fields in order, an axis as its three columns <name>_x, _y, _z
@@ -301,32 +288,34 @@ def _sweep_blocks(table, resolution: int):
 
 
 def _cmd_sweep(args):
-    resolution = _resolution(args)
-    table = Table(args.format, _SWEEP_HEADER, {"command": "sweep", "resolution": resolution})
-    return 0, table.chunks(_sweep_blocks(table, resolution))
+    table = Table(args.format, _SWEEP_HEADER, {"command": "sweep", "resolution": args.resolution})
+    return 0, table.chunks(_sweep_blocks(table, args.resolution))
 
 
 def _add_params_flags(sub):
-    sub.add_argument("--eta", help="shrink factor")
-    sub.add_argument("--t", help="isotropic correlation t_xx = t_yy = t_zz")
-    sub.add_argument("--t_xy", help="antisymmetric xy correlation (t_xy = -t_yx)")
-    sub.add_argument("--t_diag", metavar="a,b,c",
+    sub.add_argument("--eta", type=_number, default=0.0, help="shrink factor")
+    sub.add_argument("--t", type=_number, default=0.0,
+                     help="isotropic correlation t_xx = t_yy = t_zz")
+    sub.add_argument("--t_xy", type=_number, default=0.0,
+                     help="antisymmetric xy correlation (t_xy = -t_yx)")
+    sub.add_argument("--t_diag", type=_vector3, metavar="a,b,c",
                      help="diagonal 3x3 correlation matrix instead of --t/--t_xy")
 
 
-def _add_output_flags(sub, command, handler):
-    """The output flags, last in --help; then the handler and every flag's default."""
-    if "format" in DEFAULTS[command]:
-        sub.add_argument("--format", choices=("json", "csv"), help="output format")
+def _add_output_flags(sub, handler, default_format=None):
+    """The output flags, last in --help, --format only given its default; then the handler."""
+    if default_format is not None:
+        sub.add_argument("--format", choices=("json", "csv"), default=default_format,
+                         help="output format")
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    sub.set_defaults(handler=handler, **DEFAULTS[command])
+    sub.set_defaults(handler=handler)
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors are one `error: ...` line, exit 2."""
+    """ArgumentParser whose usage errors raise `_UsageError`, which `main` reports."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,41 +326,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    resolution = _int_in(3, MAX_RESOLUTION)
 
     verify = subs.add_parser(
         "verify", formatter_class=fmt,
         help="run the constraint suite on a parameter point")
     _add_params_flags(verify)
-    _add_output_flags(verify, "verify", _cmd_verify)
+    _add_output_flags(verify, _cmd_verify)
 
     optimize = subs.add_parser(
         "optimize", formatter_class=fmt,
         help="maximal shrink factor, closed form and grid")
-    optimize.add_argument("--method", choices=("closed_form", "grid", "both"))
-    optimize.add_argument("--resolution", type=int, help="grid points per axis")
-    _add_output_flags(optimize, "optimize", _cmd_optimize)
+    optimize.add_argument("--method", choices=("closed_form", "grid", "both"), default="both")
+    optimize.add_argument("--resolution", type=resolution, default=2001,
+                          help="grid points per axis")
+    _add_output_flags(optimize, _cmd_optimize)
 
     clone = subs.add_parser(
         "clone", formatter_class=fmt,
         help="clone a pure input direction with the universal machine")
-    clone.add_argument("--input", metavar="x,y,z", help="unit Bloch vector to clone")
-    _add_output_flags(clone, "clone", _cmd_clone)
+    clone.add_argument("--input", type=_unit_axis, default="0,0,1", metavar="x,y,z",
+                       help="unit Bloch vector to clone")
+    _add_output_flags(clone, _cmd_clone)
 
     signal = subs.add_parser(
         "signal", formatter_class=fmt,
         help="axis-distinguishing experiment, analytic and Monte Carlo")
     _add_params_flags(signal)
-    signal.add_argument("--axis-a", metavar="x,y,z", help="Alice's first axis choice")
-    signal.add_argument("--axis-b", metavar="x,y,z", help="Alice's second axis choice")
-    signal.add_argument("--shots", type=int, help="Monte-Carlo rounds")
-    signal.add_argument("--seed", type=int, help="generator seed")
-    _add_output_flags(signal, "signal", _cmd_signal)
+    signal.add_argument("--axis-a", type=_unit_axis, default="0,0,1", metavar="x,y,z",
+                        help="Alice's first axis choice")
+    signal.add_argument("--axis-b", type=_unit_axis, default="1,0,0", metavar="x,y,z",
+                        help="Alice's second axis choice")
+    signal.add_argument("--shots", type=_int_in(1, MAX_SHOTS), default=100000,
+                        help="Monte-Carlo rounds")
+    signal.add_argument("--seed", type=_int_in(0), default=12345, help="generator seed")
+    _add_output_flags(signal, _cmd_signal, "json")
 
     sweep = subs.add_parser(
         "sweep", formatter_class=fmt,
         help="feasibility landscape over (eta, t, t_xy)")
-    sweep.add_argument("--resolution", type=int, help="grid points per axis (rows = resolution^3)")
-    _add_output_flags(sweep, "sweep", _cmd_sweep)
+    sweep.add_argument("--resolution", type=resolution, default=13,
+                       help="grid points per axis (rows = resolution^3)")
+    _add_output_flags(sweep, _cmd_sweep, "csv")
 
     return parser
 
@@ -381,9 +377,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         status, chunks = args.handler(args)
     except ValueError as exc:  # _UsageError and CloneBoundError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,8 @@ i.e. it co-rotates with the input direction, which is what universality
 means operationally.  Every output is therefore a U (x) U conjugate of
 the z-frame template and shares its spectrum.  For constrained points
 that spectrum has one closed form: two level pairs, `_outer_levels`
-over (eta, t) and `_central_levels` over (t, t_xy).  `_spectrum` sorts
-them, per point for `positivity_eigenvalues`; the CLI sweep formats
-each pair apart, once per distinct value, and merges the sorted pairs.
+over (eta, t) and `_central_levels` over (t, t_xy), which
+`positivity_eigenvalues` sorts.
 
 The no-signaling difference rho(+a) + rho(-a) - rho(+b) - rho(-b) comes
 from the correlation sum alone: the identity and the eta terms cancel
@@ -333,22 +332,15 @@ def _central_levels(t, t_xy):
     return (1.0 - t + pair) / 4.0, (1.0 - t - pair) / 4.0
 
 
-def _spectrum(eta, t, t_xy):
-    """The closed-form output eigenvalues, descending along the first axis.
+def positivity_eigenvalues(params: ClonerParams) -> PositivityEigenvalues:
+    """The closed-form output eigenvalues of a constrained family point, descending.
 
     The z-frame matrix block-diagonalizes into the outer pair over
     (eta, t) and the central pair over (t, t_xy); the spectrum is their
     descending sort, so each value is bit for bit a value of one helper.
-    eta, t and t_xy broadcast, and the result has shape (4,) + their
-    broadcast shape.
     """
-    levels = np.broadcast_arrays(*_outer_levels(eta, t), *_central_levels(t, t_xy))
-    return np.sort(levels, axis=0)[::-1]
-
-
-def positivity_eigenvalues(params: ClonerParams) -> PositivityEigenvalues:
-    """`_spectrum` of a constrained family point, descending."""
-    return PositivityEigenvalues(*_spectrum(params.eta, params.t, params.t_xy).tolist())
+    levels = (*_outer_levels(params.eta, params.t), *_central_levels(params.t, params.t_xy))
+    return PositivityEigenvalues(*sorted(map(float, levels), reverse=True))
 
 
 def clone_fidelity(params) -> float:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .bounds import feasible
 from .family import _assemble, _opposite_difference, _require_one_axis, _rotations_z_to
-from .pauli import _half_trace_norm, bloch_to_density
+from .pauli import STATE_TOL, _half_trace_norm, bloch_to_density
 
 #: the largest shot count numpy's samplers take (the int64 limit)
 MAX_SHOTS = 2**63 - 1
@@ -111,9 +111,10 @@ def _report(params, a, b, difference) -> SignalReport:
 
 
 def _helstrom(difference) -> np.ndarray:
-    # the averaged outputs differ by half the opposite-sum difference
+    # the averaged outputs differ by half the opposite-sum difference; an
+    # eigenvalue within round-off of 0 is 0, whatever its sign
     eigvals, eigvecs = np.linalg.eigh(difference / 2.0)
-    plus = eigvecs[:, eigvals > 0.0]
+    plus = eigvecs[:, eigvals > STATE_TOL]
     return plus @ plus.conj().T
 
 
@@ -172,7 +173,9 @@ def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:
     """Projector onto the positive eigenspace of the averaged-output difference.
 
     This is the measurement an optimal single-shot discriminator
-    applies to the clone pair; exposed for demos and tests.
+    applies to the clone pair; exposed for demos and tests.  Only
+    eigenvalues above `STATE_TOL` count as positive, so a point that
+    does not signal gets the zero projector.
     """
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")

@@ -5,6 +5,7 @@ path the console script takes, so exit codes and byte-level output are
 exercised exactly as a shell user would see them.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -36,6 +37,16 @@ def run(capsys, argv):
     return status, captured.out, captured.err
 
 
+def usage_error(capsys, argv):
+    """The one stderr line of an argv that `cli.main` refuses with status 2 and no stdout."""
+    status, out, err = run(capsys, argv)
+    assert (status, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
 class TestVerify:
     def test_optimum_passes(self, capsys):
         status, out, _ = run(capsys, ["verify", "--eta", "2/3", "--t", "1/3"])
@@ -65,9 +76,7 @@ class TestVerify:
         assert "t_matrix" in report
 
     def test_t_diag_conflicts_with_t(self, capsys):
-        status, _, err = run(capsys, ["verify", "--t_diag", "0,0,1", "--t", "0.1"])
-        assert status == 2
-        assert "error" in err
+        usage_error(capsys, ["verify", "--t_diag", "0,0,1", "--t", "0.1"])
 
     def test_fraction_strings_accepted(self, capsys):
         # negative fractions need the --flag=value spelling, else argparse
@@ -81,9 +90,7 @@ class TestVerify:
         assert report["t"] == pytest.approx(1 / 6)
 
     def test_malformed_number_is_usage_error(self, capsys):
-        status, _, err = run(capsys, ["verify", "--eta", "two-thirds"])
-        assert status == 2
-        assert "error" in err
+        usage_error(capsys, ["verify", "--eta", "two-thirds"])
 
 
 class TestOptimize:
@@ -114,9 +121,7 @@ class TestOptimize:
         assert report["grid"]["eta_max"] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_undersized_resolution_is_usage_error(self, capsys):
-        status, _, err = run(capsys, ["optimize", "--resolution", "2"])
-        assert status == 2
-        assert "error" in err
+        usage_error(capsys, ["optimize", "--resolution", "2"])
 
 
 class TestClone:
@@ -147,9 +152,7 @@ class TestClone:
         assert report["fidelity_clone1"] == pytest.approx(5 / 6, abs=1e-12)
 
     def test_non_unit_input_is_usage_error(self, capsys):
-        status, _, err = run(capsys, ["clone", "--input", "0,0,0.5"])
-        assert status == 2
-        assert "unit length" in err
+        assert "unit length" in usage_error(capsys, ["clone", "--input", "0,0,0.5"])
 
 
 class TestSignal:
@@ -219,14 +222,10 @@ class TestSignal:
         assert report["trace_distance"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_non_unit_axis_is_usage_error(self, capsys):
-        status, _, err = run(capsys, ["signal", "--axis-a", "0,0,2"])
-        assert status == 2
-        assert "unit length" in err
+        assert "unit length" in usage_error(capsys, ["signal", "--axis-a", "0,0,2"])
 
     def test_zero_shots_is_usage_error(self, capsys):
-        status, _, err = run(capsys, ["signal", "--shots", "0"])
-        assert status == 2
-        assert "error" in err
+        usage_error(capsys, ["signal", "--shots", "0"])
 
 
 class TestSweep:
@@ -262,9 +261,7 @@ class TestSweep:
         assert all(len(row) == 9 for row in report["rows"])
 
     def test_undersized_resolution_is_usage_error(self, capsys):
-        status, _, err = run(capsys, ["sweep", "--resolution", "2"])
-        assert status == 2
-        assert "error" in err
+        usage_error(capsys, ["sweep", "--resolution", "2"])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("resolution", [3, 4, 5, 7, 9])
@@ -410,31 +407,23 @@ class TestOutputPlumbing:
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing_dir" / "report.json"
-        status, _, err = run(capsys, ["verify", "--out", str(target)])
-        assert status == 2
-        assert "cannot write" in err
+        assert "cannot write" in usage_error(capsys, ["verify", "--out", str(target)])
 
     def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--no-such-flag"])
-        assert exc.value.code == 2
+        # argparse's own errors return from main like every other usage error
+        assert "--no-such-flag" in usage_error(capsys, ["verify", "--no-such-flag"])
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--format", "csv"],
-        ["verify", "--no-such-flag"],
-        ["optimize", "--method", "simplex"],
-        ["optimize", "--resolution", "many"],
-        [],
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--format", "csv"], None),
+        (["verify", "--no-such-flag"], None),
+        (["optimize", "--method", "simplex"], "--method"),
+        (["optimize", "--resolution", "many"], "--resolution"),
+        ([], None),
     ], ids=["format", "unknown-flag", "bad-method", "non-integer", "no-subcommand"])
-    def test_argparse_errors_are_one_line(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
+    def test_argparse_errors_are_one_line(self, capsys, argv, flag):
+        line = usage_error(capsys, argv)
+        if flag is not None:
+            assert line.startswith(f"error: argument {flag}: ")
 
     def test_help_shows_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -464,16 +453,14 @@ class TestOutputPlumbing:
         ["verify", "--eta", "nan"],
         ["signal", "--t", "inf"],
         ["verify", "--t_diag", "1e400,0,0"],
+        # range checks are the flag's parser too
+        ["sweep", "--resolution", "2"],
+        ["signal", "--shots", "0"],
     ])
     def test_nan_axis_fails_at_its_flag(self, capsys, argv):
-        status, out, err = run(capsys, argv)
-        assert status == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert argv[1] in lines[0]
-        assert "array(" not in lines[0]
+        line = usage_error(capsys, argv)
+        assert line.startswith(f"error: argument {argv[1]}: ")
+        assert "array(" not in line
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--eta", "2"],
@@ -502,22 +489,43 @@ class TestOutputPlumbing:
     @pytest.mark.parametrize("command", ["verify", "optimize", "clone"])
     def test_format_flag_only_where_it_acts(self, capsys, command):
         # only signal and sweep have a CSV form; the others reject --format
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--format", "csv"])
-        assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        assert "--format" in usage_error(capsys, [command, "--format", "csv"])
 
     def test_reference_config_matches_defaults(self):
+        # every flag's default as declared, before its `type=` parser reads
+        # it ("0,0,1" stays text), so a new flag is in the config at once
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        config = {
+            command: {action.dest: action.default for action in sub._actions
+                      if action.default is not argparse.SUPPRESS}
+            for command, sub in subparsers.choices.items()
+        }
         committed = (REPO_ROOT / "reference-config.json").read_text(encoding="utf-8")
-        assert committed == dump_json(cli.DEFAULTS)
+        assert committed == dump_json(config)
 
-    @pytest.mark.parametrize("command", list(cli.DEFAULTS))
+    @pytest.mark.parametrize("command", sorted(
+        json.loads((REPO_ROOT / "reference-config.json").read_text(encoding="utf-8"))))
     def test_every_flag_has_its_default_in_defaults(self, command):
-        # a flag added to the parser without a DEFAULTS entry would escape
-        # the reference-config check above
-        parsed = vars(cli.build_parser().parse_args([command]))
-        del parsed["handler"], parsed["subcommand"]
-        assert parsed == cli.DEFAULTS[command]
+        # each reference-config entry, spelled out as flags, parses to the
+        # same namespace as no flags at all: no flag is missing from the
+        # config and no config value means other than its flag's default
+        def parsed(argv):
+            # axis flags parse to arrays, compared here by their exact entries
+            return {dest: value.tolist() if isinstance(value, np.ndarray) else value
+                    for dest, value in vars(parser.parse_args([command, *argv])).items()}
+
+        config = json.loads((REPO_ROOT / "reference-config.json").read_text(encoding="utf-8"))
+        parser = cli.build_parser()
+        bare = parsed([])
+        assert set(bare) - {"handler", "subcommand"} == set(config[command])
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        flags = {action.dest: action.option_strings[0]
+                 for action in subparsers.choices[command]._actions}
+        argv = [f"{flags[dest]}={value}" for dest, value in config[command].items()
+                if value is not None]
+        assert parsed(argv) == bare
 
 
 #: points on and next to the positivity boundary: flags, the lowest

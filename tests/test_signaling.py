@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clonebound import family
+from clonebound import family, signaling
 from clonebound.errors import InvalidBlochError
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import SIGMA_X, SIGMA_Z, partial_trace, tensor
@@ -178,6 +178,15 @@ class TestMonteCarlo:
         sigma = 1.0 / (2.0 * np.sqrt(rep.mc_shots))
         assert abs(rep.mc_estimate - 0.5) < 3 * sigma
 
+    def test_silent_estimate_depends_on_shots_and_seed_alone(self):
+        # Pi = 0 at a family point: Bob always guesses b, whatever the axes
+        rng = np.random.default_rng(19)
+        reports = [monte_carlo_signal(random_params(rng), random_axis(rng), random_axis(rng),
+                                      shots=1000, seed=5) for _ in range(100)]
+        estimates = [rep.mc_estimate for rep in reports if rep.physical]
+        assert len(estimates) >= 10
+        assert len(set(estimates)) == 1
+
     def test_violator_converges_to_analytic_rate(self):
         rep = monte_carlo_signal(VIOLATOR, Z, X, shots=100_000, seed=7)
         sigma = 1.0 / (2.0 * np.sqrt(rep.mc_shots))
@@ -278,3 +287,24 @@ class TestHelstromProjector:
     def test_vanishes_when_axes_agree(self):
         p = helstrom_projector(VIOLATOR, Z, Z)
         np.testing.assert_allclose(p, np.zeros((4, 4)), atol=1e-15)
+
+    def test_family_points_get_no_projector(self):
+        # the difference is 0 up to round-off, here within 2e-17; kept by
+        # their sign, such eigenvalues gave Pi of rank 2 and 3 on these axes
+        point = ClonerParams(0.5, 0.2, 0.1)
+        cases = [(point, (0.6, 0.0, 0.8), (0.0, 1.0, 0.0)),
+                 (point, (0.48, 0.6, 0.64), (0.0, 0.6, 0.8))]
+        rng = np.random.default_rng(17)
+        cases += [(random_params(rng), random_axis(rng), random_axis(rng)) for _ in range(200)]
+        for params, a, b in cases:
+            np.testing.assert_array_equal(helstrom_projector(params, a, b), np.zeros((4, 4)))
+
+    def test_round_off_noise_leaves_the_projector(self):
+        rng = np.random.default_rng(18)
+        diff = family._opposite_difference(VIOLATOR, np.array(Z, float), np.array(X, float))[0]
+        p = signaling._helstrom(diff)
+        for _ in range(50):
+            noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            noisy = signaling._helstrom(diff + 1e-16 * (noise + noise.conj().T))
+            assert np.linalg.matrix_rank(noisy) == np.linalg.matrix_rank(p) == 1
+            np.testing.assert_allclose(noisy, p, atol=1e-14)
