@@ -94,11 +94,19 @@ def _number(text: str) -> float:
     return value
 
 
-def _vector3(text: str) -> np.ndarray:
+def _magnitude(text: str) -> float:
+    """`_number` within [-1, 1], the range of eta and of every t_jk."""
+    value = _number(text)
+    if abs(value) > 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [-1, 1], got {text!r}")
+    return value
+
+
+def _vector3(text: str, component=_number) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"must be three comma-separated components, got {text!r}")
-    return np.array([_number(p) for p in parts])
+    return np.array([component(p) for p in parts])
 
 
 def _unit_axis(text: str) -> np.ndarray:
@@ -293,12 +301,13 @@ def _cmd_sweep(args):
 
 
 def _add_params_flags(sub):
-    sub.add_argument("--eta", type=_number, default=0.0, help="shrink factor")
-    sub.add_argument("--t", type=_number, default=0.0,
+    sub.add_argument("--eta", type=_magnitude, default=0.0, help="shrink factor")
+    sub.add_argument("--t", type=_magnitude, default=0.0,
                      help="isotropic correlation t_xx = t_yy = t_zz")
-    sub.add_argument("--t_xy", type=_number, default=0.0,
+    sub.add_argument("--t_xy", type=_magnitude, default=0.0,
                      help="antisymmetric xy correlation (t_xy = -t_yx)")
-    sub.add_argument("--t_diag", type=_vector3, metavar="a,b,c",
+    sub.add_argument("--t_diag", type=functools.partial(_vector3, component=_magnitude),
+                     metavar="a,b,c",
                      help="diagonal 3x3 correlation matrix instead of --t/--t_xy")
 
 

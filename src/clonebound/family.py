@@ -29,7 +29,8 @@ exactly, leaving the co-rotated R t R^T at +-a minus those at +-b.
 
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
 per row.  Public functions validate them once; the private builders
-they call trust them, and nothing re-validates a state built here.
+they call trust them, and nothing re-validates a state built here.  A
+call's few rotations are built in Python floats, free of numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
 _CORR_BASIS = BASIS[1:, 1:].reshape(9, 16)
 
 _EYE = np.eye(3)
-_HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
+#: `_rotations_z_to` row-major at m = -zhat (a half turn about xhat) and at m = zhat
+_POLE_ROWS = ((1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0), tuple(_EYE.ravel().tolist()))
 _DIAGONAL = 1.0 / math.sqrt(3.0)
 
 #: axis pairs probing the opposite-mixture identity: with the fourth, the
@@ -187,22 +189,25 @@ def bloch_rotation_z_to(m) -> np.ndarray:
 
 
 def _rotations_z_to(axes):
-    """`bloch_rotation_z_to` for validated axes, shape (..., 3) -> (..., 3, 3)."""
-    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
-    unit = axes / np.sqrt(x * x + y * y + z * z)[..., None]
-    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
-    rho2 = x * x + y * y
-    pole = rho2 < STATE_TOL * STATE_TOL
-    f = (1.0 - z) / np.where(pole, 1.0, rho2)
-    fx = f * x
-    rot = np.empty(axes.shape[:-1] + (3, 3))
-    rot[..., 0, 0] = 1.0 - fx * x
-    rot[..., 0, 1] = rot[..., 1, 0] = -fx * y
-    rot[..., 1, 1] = 1.0 - f * y * y
-    rot[..., :, 2] = unit
-    rot[..., 2, :2] = -unit[..., :2]
-    at_pole = np.where(z[..., None, None] > 0.0, _EYE, _HALF_TURN_X)
-    return np.where(pole[..., None, None], at_pole, rot)
+    """`bloch_rotation_z_to` for validated axes, shape (..., 3) -> (..., 3, 3).
+
+    Row by row in Python floats, in the expressions and order of the
+    vectorized body in `tests/reference.py`: each step is one correctly
+    rounded IEEE operation, so both agree bit for bit.  A few axes cost
+    ~1.5 us each, under numpy's ~30 us floor; 1000 take ~1.2 ms, not ~0.1.
+    """
+    flat = []
+    for x, y, z in axes.reshape(-1, 3).tolist():
+        norm = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / norm, y / norm, z / norm
+        rho2 = x * x + y * y
+        if rho2 < STATE_TOL * STATE_TOL:
+            flat.extend(_POLE_ROWS[z > 0.0])
+            continue
+        f = (1.0 - z) / rho2
+        fx, fy = f * x, f * y
+        flat.extend((1.0 - fx * x, -fx * y, x, -fx * y, 1.0 - fy * y, y, -x, -y, z))
+    return np.array(flat).reshape(axes.shape[:-1] + (3, 3))
 
 
 def output_state(params, m) -> np.ndarray:

@@ -7,7 +7,9 @@ Hillery (PRA 54, 1844, 1996) written out entry by entry, conjugated by
 U (x) U with U the minimal-geodesic SU(2) element taking zhat to m.
 Those SU(2) functions use numpy and this module's Pauli matrices only.
 `sweep_output` builds the `clone-bound sweep` bytes one grid point at a
-time, as one string.
+time, as one string.  `rotations_z_to` is the package's SO(3) Rodrigues
+body as numpy array operations over a whole stack, the oracle its
+per-row Python float body must match bit for bit.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from clonebound.family import ClonerParams, positivity_eigenvalues
-from clonebound.pauli import _require_one_qubit_state, is_positive
+from clonebound.pauli import STATE_TOL, _require_one_qubit_state, is_positive
 from clonebound.serialize import csv_lines, dump_json
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -105,6 +107,29 @@ def rotate_output(rho_z, m) -> np.ndarray:
     u = rotation_taking_z_to(m)
     w = np.kron(u, u)
     return w @ np.asarray(rho_z, dtype=complex) @ w.conj().T
+
+
+_EYE = np.eye(3)
+_HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
+
+
+def rotations_z_to(axes):
+    """`family.bloch_rotation_z_to` for validated axes, vectorized: (..., 3) -> (..., 3, 3)."""
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
+    unit = axes / np.sqrt(x * x + y * y + z * z)[..., None]
+    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
+    rho2 = x * x + y * y
+    pole = rho2 < STATE_TOL * STATE_TOL
+    f = (1.0 - z) / np.where(pole, 1.0, rho2)
+    fx = f * x
+    rot = np.empty(axes.shape[:-1] + (3, 3))
+    rot[..., 0, 0] = 1.0 - fx * x
+    rot[..., 0, 1] = rot[..., 1, 0] = -fx * y
+    rot[..., 1, 1] = 1.0 - f * y * y
+    rot[..., :, 2] = unit
+    rot[..., 2, :2] = -unit[..., :2]
+    at_pole = np.where(z[..., None, None] > 0.0, _EYE, _HALF_TURN_X)
+    return np.where(pole[..., None, None], at_pole, rot)
 
 
 SWEEP_HEADER = ("eta", "t", "t_xy", "lam1", "lam2", "lam3", "lam4", "feasible", "fidelity")

@@ -453,9 +453,13 @@ class TestOutputPlumbing:
         ["verify", "--eta", "nan"],
         ["signal", "--t", "inf"],
         ["verify", "--t_diag", "1e400,0,0"],
-        # range checks are the flag's parser too
+        # range checks are the flag's parser too, the family's |value| <= 1 included
         ["sweep", "--resolution", "2"],
         ["signal", "--shots", "0"],
+        ["verify", "--eta", "2"],
+        ["signal", "--t", "3/2"],
+        ["verify", "--t_xy", "-1.0000000000001"],
+        ["verify", "--t_diag", "0,-1,1.5"],
     ])
     def test_nan_axis_fails_at_its_flag(self, capsys, argv):
         line = usage_error(capsys, argv)

@@ -10,6 +10,7 @@ from clonebound.family import (
     GeneralClonerParams,
     _opposite_difference,
     _require_unit_axis,
+    _rotations_z_to,
     axial_covariance_residual,
     bloch_rotation_z_to,
     clone_fidelity,
@@ -34,6 +35,7 @@ from reference import (
     random_params,
     rotate_output,
     rotation_taking_z_to,
+    rotations_z_to,
 )
 
 #: axes the rotation tests take besides the seeded random ones
@@ -193,6 +195,42 @@ class TestRotation:
         r = bloch_rotation_matrix(rotation_taking_z_to(m))
         np.testing.assert_allclose(r @ [0, 0, 1], m, atol=1e-12)
         np.testing.assert_allclose(rot, r, atol=1e-12)
+
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+    def test_matches_the_vectorized_body_bit_for_bit(self):
+        rng = np.random.default_rng(80)
+        unit = rng.standard_normal((10_000, 3))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        # 1e-12 to 1e-3 from +z and from -z, both sides of the pole cutoff
+        gap = 10.0 ** rng.uniform(-12.0, -3.0, 4000)
+        phase = rng.uniform(0.0, 2.0 * np.pi, 4000)
+        near = np.stack([gap * np.cos(phase), gap * np.sin(phase), np.sqrt(1.0 - gap**2)], 1)
+        cases = {
+            "random": unit,
+            "near_plus_z": near,
+            "near_minus_z": near * [1.0, 1.0, -1.0],
+            "poles_and_equator": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                                           [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
+            # |m| = 1 +- 5e-10 passes validation, and the body normalizes
+            "off_unit": unit[:2000] * (1.0 + rng.choice([-5e-10, 5e-10], 2000))[:, None],
+        }
+        for axes in cases.values():
+            self.assert_same_bits(bloch_rotation_z_to(axes), rotations_z_to(axes))
+            for m in axes[:50]:
+                self.assert_same_bits(bloch_rotation_z_to(m), rotations_z_to(m))
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 5, 3), (0, 3), (4, 0, 3)])
+    def test_shape_contract(self, shape):
+        axes = np.random.default_rng(81).standard_normal(shape)
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        rot = _rotations_z_to(axes)
+        assert rot.shape == shape[:-1] + (3, 3)
+        assert rot.dtype == np.float64
+        self.assert_same_bits(rot, rotations_z_to(axes))
 
     def test_rotate_output_preserves_spectrum(self):
         rng = np.random.default_rng(25)

@@ -308,3 +308,33 @@ class TestHelstromProjector:
             noisy = signaling._helstrom(diff + 1e-16 * (noise + noise.conj().T))
             assert np.linalg.matrix_rank(noisy) == np.linalg.matrix_rank(p) == 1
             np.testing.assert_allclose(noisy, p, atol=1e-14)
+
+
+class TestOneRotationStack:
+    """Each public function that rotates takes one `_rotations_z_to` stack.
+
+    `monte_carlo_signal` is `TestMonteCarlo.test_four_outputs_are_built_once`.
+    """
+
+    @pytest.mark.parametrize("call, shape", [
+        (lambda: family.bloch_rotation_z_to(Z), (3,)),
+        (lambda: family.output_state(VIOLATOR, X), (1, 3)),
+        (lambda: family.no_signaling_residual(VIOLATOR, Z, X), (4, 3)),
+        (lambda: signaling_advantage(VIOLATOR, Z, X), (4, 3)),
+        (lambda: helstrom_projector(VIOLATOR, Z, X), (4, 3)),
+        (lambda: averaged_clone_output(VIOLATOR, X), (2, 3)),
+    ], ids=["bloch_rotation_z_to", "output_state", "no_signaling_residual",
+            "signaling_advantage", "helstrom_projector", "averaged_clone_output"])
+    def test_one_call_per_public_function(self, monkeypatch, call, shape):
+        rotated = []
+        rotate = family._rotations_z_to
+
+        def recording(axes):
+            rotated.append(np.shape(axes))
+            return rotate(axes)
+
+        # signaling imports the name, so both bindings are recorded
+        monkeypatch.setattr(family, "_rotations_z_to", recording)
+        monkeypatch.setattr(signaling, "_rotations_z_to", recording)
+        call()
+        assert rotated == [shape]
