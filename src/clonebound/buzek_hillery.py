@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotInFamilyError
-from .family import ClonerParams, covariance_constraint_residual
+from .family import ClonerParams, template_state_z
 from .pauli import STATE_TOL, _require_one_qubit_state, bloch_to_density, pauli_decompose
 
 _SQ23 = np.sqrt(2.0 / 3.0)
@@ -61,25 +61,15 @@ def bh_clone(rho_in) -> np.ndarray:
 def bh_family_point() -> ClonerParams:
     """Extract (eta, t, t_xy) from the clone pair produced for input |0>.
 
-    Decomposes bh_clone(|0>) in the Pauli basis and reads the family
-    parameters off the coefficients, checking along the way that the
-    state actually has the constrained structure (isotropic diagonal,
-    antisymmetric xy pair, both clones aligned with z).  A structural
-    leftover above STATE_TOL (it is 5.6e-17) raises NotInFamilyError.
+    Reads (eta, t, t_xy) = 4 (a_z, t_zz, t_xy) off the Pauli coefficients
+    of bh_clone(|0>), then checks the whole state against that point's
+    z-frame template: a max-abs residual over all 16 entries above
+    STATE_TOL (it is 2.8e-17) raises NotInFamilyError.
     """
     state = bh_clone(bloch_to_density((0.0, 0.0, 1.0)))
     coeffs = pauli_decompose(state)
-    corr = coeffs.correlation
-    first = coeffs.bloch_first
-    second = coeffs.bloch_second
-
-    off_family = max(
-        abs(first[0]), abs(first[1]), abs(second[0]), abs(second[1]),
-        abs(first[2] - second[2]), abs(corr[0, 0] - corr[2, 2]),
-        covariance_constraint_residual(corr),
-    )
+    point = ClonerParams(4.0 * coeffs.a[2], 4.0 * coeffs.t[2, 2], 4.0 * coeffs.t[0, 1])
+    off_family = float(np.max(np.abs(state - template_state_z(point))))
     if off_family > STATE_TOL:
-        raise NotInFamilyError(
-            f"clone pair leaves the constrained family by {off_family:.3e}"
-        )
-    return ClonerParams(eta=float(first[2]), t=float(corr[2, 2]), t_xy=float(corr[0, 1]))
+        raise NotInFamilyError(f"clone pair leaves the constrained family by {off_family:.3e}")
+    return point

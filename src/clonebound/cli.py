@@ -262,7 +262,7 @@ def _sweep_blocks(table, resolution: int):
                 if slot != (t_lo, xy_lo):
                     t_xy = axis[xy_lo:xy_lo + width]
                     m, w, n = len(t), len(t_xy), len(t) * len(t_xy)
-                    b1, b2 = np.broadcast_arrays(*_central_levels(t, t_xy))
+                    b1, b2 = _central_levels(t, t_xy)
                     # pool: pair words, central high, central low, outer high, outer low, frame
                     xy_cells = table.cells(t_xy)
                     pairs = [a + b for a in table.cells(t) for b in xy_cells]

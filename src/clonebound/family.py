@@ -28,9 +28,10 @@ from the correlation sum alone: the identity and the eta terms cancel
 exactly, leaving the co-rotated R t R^T at +-a minus those at +-b.
 
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
-per row.  Public functions validate them once; the private builders
-they call trust them, and nothing re-validates a state built here.  A
-call's few rotations are built in Python floats, free of numpy's per-call cost.
+per row.  One rule in Python floats decides every row, alone or in a
+stack: |hypot(row) - 1| <= STATE_TOL.  Public functions validate axes
+once; the private builders they call trust them.  A call's few
+rotations are built in Python floats, free of numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -87,13 +88,15 @@ class ClonerParams:
     def __post_init__(self):
         for name in ("eta", "t", "t_xy"):
             object.__setattr__(self, name, _check_magnitude(name, getattr(self, name)))
-
-    def as_matrix(self) -> np.ndarray:
-        """The 3x3 correlation matrix in the z frame."""
         mat = self.t * np.eye(3)
         mat[0, 1] = self.t_xy
         mat[1, 0] = -self.t_xy
-        return mat
+        mat.flags.writeable = False
+        object.__setattr__(self, "_matrix", mat)  # not a field: eq, repr and asdict skip it
+
+    def as_matrix(self) -> np.ndarray:
+        """The 3x3 correlation matrix in the z frame (read-only), built once."""
+        return self._matrix
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -143,23 +146,24 @@ class PositivityEigenvalues:
 
 
 def _require_unit_axis(m, what="direction"):
-    """Unit 3-vectors, shape (3,) or (N, 3); errors name `what` and the bad row."""
+    """Unit 3-vectors (3,) or (N, 3), one rule for every row: |hypot(row) - 1| <= STATE_TOL."""
     try:
         vec = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged stacks, non-numbers
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack") from exc
-    if vec.shape == (3,) and abs(math.hypot(*vec.tolist()) - 1.0) <= STATE_TOL:
-        return vec  # one unit axis, judged in plain floats; all else takes the numpy path
-    if vec.ndim not in (1, 2) or vec.shape[-1] != 3:
+    if vec.shape == (3,):
+        rows = (vec.tolist(),)
+    elif vec.ndim == 2 and vec.shape[1] == 3:
+        rows = vec.tolist()
+    else:
         raise InvalidBlochError(f"{what} must be a 3-vector or an (N, 3) stack, got {vec.shape}")
-    norms = _bloch_length(vec).reshape(-1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_TOL))
-    if bad.size:
-        row = vec.reshape(-1, 3)[bad[0]]
-        name = what if vec.ndim == 1 else f"{what}[{bad[0]}]"
-        if not np.all(np.isfinite(row)):
-            raise InvalidBlochError(f"{name} must be a finite 3-vector, got {row.tolist()}")
-        raise InvalidBlochError(f"{name} must be unit length, |m| = {norms[bad[0]]}")
+    for row in rows:
+        if not abs(math.hypot(*row) - 1.0) <= STATE_TOL:  # nan fails too
+            # the first bad row: `index` matches the row object itself, nan or not
+            name = what if vec.ndim == 1 else f"{what}[{rows.index(row)}]"
+            if not all(map(math.isfinite, row)):
+                raise InvalidBlochError(f"{name} must be a finite 3-vector, got {row}")
+            raise InvalidBlochError(f"{name} must be unit length, |m| = {_bloch_length(row)}")
     return vec
 
 
@@ -283,16 +287,10 @@ def covariance_constraint_residual(t) -> float:
     mat = np.asarray(t.as_matrix() if hasattr(t, "as_matrix") else t, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-    return float(
-        max(
-            abs(mat[0, 0] - mat[1, 1]),
-            abs(mat[0, 1] + mat[1, 0]),
-            abs(mat[0, 2]),
-            abs(mat[2, 0]),
-            abs(mat[1, 2]),
-            abs(mat[2, 1]),
-        )
-    )
+    return float(max(
+        abs(mat[0, 0] - mat[1, 1]), abs(mat[0, 1] + mat[1, 0]),
+        abs(mat[0, 2]), abs(mat[2, 0]), abs(mat[1, 2]), abs(mat[2, 1]),
+    ))
 
 
 def no_signaling_residual(params, axis_a, axis_b):

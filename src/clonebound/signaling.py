@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import feasible
-from .family import _assemble, _opposite_difference, _require_one_axis, _rotations_z_to
+from .family import _assemble, _opposite_difference, _require_one_axis, output_state
 from .pauli import STATE_TOL, _half_trace_norm, bloch_to_density
 
 #: the largest shot count numpy's samplers take (the int64 limit)
@@ -101,7 +101,7 @@ def averaged_clone_output(params, axis) -> np.ndarray:
     only the (rotated) correlation part.
     """
     vec = _require_one_axis(axis, "measurement axis")
-    plus, minus = _assemble(params, _rotations_z_to(np.stack([vec, -vec])))
+    plus, minus = output_state(params, np.stack([vec, -vec]))
     return (plus + minus) / 2.0
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from clonebound import buzek_hillery
 from clonebound.buzek_hillery import bh_clone, bh_family_point, bh_isometry
-from clonebound.errors import InvalidStateError
-from clonebound.family import clone_fidelity, no_signaling_residual
+from clonebound.errors import InvalidStateError, NotInFamilyError
+from clonebound.family import clone_fidelity, no_signaling_residual, template_state_z
 from clonebound.pauli import (
+    SIGMA_X,
     bloch_to_density,
     hermitian_eigenvalues4,
     overlap_fidelity,
@@ -139,6 +141,19 @@ class TestFamilyPoint:
 
     def test_fidelity_at_family_point(self):
         assert clone_fidelity(bh_family_point()) == pytest.approx(5 / 6, abs=1e-12)
+
+    def test_is_the_extracted_point_exactly(self):
+        p = bh_family_point()
+        assert (p.eta, p.t, p.t_xy) == (0.6666666666666666, 0.33333333333333337, 0.0)
+        assert np.max(np.abs(bh_clone(UP) - template_state_z(p))) < 1e-16
+
+    def test_off_family_clone_pair_is_refused(self, monkeypatch):
+        tilted = bh_clone(UP) + 0.01 * tensor(SIGMA_X, np.eye(2))  # a_x != 0
+        monkeypatch.setattr(buzek_hillery, "bh_clone", lambda rho: tilted)
+        # the residual is the largest entry of the state's difference from the template
+        text = "^clone pair leaves the constrained family by 1.000e-02$"
+        with pytest.raises(NotInFamilyError, match=text):
+            bh_family_point()
 
     def test_family_point_is_silent(self):
         p = bh_family_point()

@@ -466,6 +466,10 @@ class TestOutputPlumbing:
         assert line.startswith(f"error: argument {argv[1]}: ")
         assert "array(" not in line
 
+    def test_short_vector_is_refused_at_its_flag(self, capsys):
+        assert usage_error(capsys, ["verify", "--t_diag", "1,2"]) == (
+            "error: argument --t_diag: must be three comma-separated components, got '1,2'")
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--eta", "2"],
         ["sweep", "--resolution", "2"],

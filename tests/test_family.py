@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,27 @@ class TestParamTypes:
             mat, [[0.25, 0.125, 0.0], [-0.125, 0.25, 0.0], [0.0, 0.0, 0.25]]
         )
 
+    @pytest.mark.parametrize("point", [(0.5, 0.25, 0.125), (0.1, -0.3, 0.0), (-1.0, -1.0, 1.0)])
+    def test_cloner_params_matrix_is_built_once_read_only(self, point):
+        p = ClonerParams(*point)
+        mat = p.as_matrix()
+        assert mat is p.as_matrix()
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+        # the construction the matrix has always had, signs of zeros included
+        expected = p.t * np.eye(3)
+        expected[0, 1] = p.t_xy
+        expected[1, 0] = -p.t_xy
+        assert mat.tobytes() == expected.tobytes()
+        assert replace(p, t=0.5).as_matrix()[2, 2] == 0.5
+        assert repr(p) == f"ClonerParams(eta={p.eta}, t={p.t}, t_xy={p.t_xy})"
+
+    def test_cloner_params_matrix_keeps_signed_zeros(self):
+        mat = ClonerParams(0.1, -0.3, 0.0).as_matrix()
+        # t * I has -0.0 off the diagonal for t < 0; t_xy = 0 writes +0.0 and -0.0
+        signs = [[True, False, True], [True, True, True], [True, True, True]]
+        np.testing.assert_array_equal(np.signbit(mat), signs)
+
     def test_cloner_params_json_round_trip(self):
         p = ClonerParams(eta=2 / 3, t=1 / 3, t_xy=0.0)
         assert ClonerParams(**p.to_json_dict()) == p
@@ -98,6 +120,10 @@ class TestParamTypes:
         q = GeneralClonerParams(d["eta"], d["t_matrix"])
         np.testing.assert_array_equal(p.t, q.t)
         assert p.eta == q.eta
+
+    def test_general_params_refuse_non_finite_entries(self):
+        with pytest.raises(ValueError, match="^t contains non-finite entries$"):
+            GeneralClonerParams(0, [[np.nan, 0, 0], [0, 0, 0], [0, 0, 0]])
 
     def test_general_params_matrix_immutable(self):
         p = GeneralClonerParams(eta=0.0, t=np.zeros((3, 3)))
@@ -299,6 +325,10 @@ class TestAxialCovariance:
 
 
 class TestConstraintResiduals:
+    def test_refuses_a_matrix_that_is_not_3x3(self):
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix, got shape \(2, 2\)$"):
+            covariance_constraint_residual(np.eye(2))
+
     def test_allowed_structures_pass(self):
         assert covariance_constraint_residual(np.eye(3) / 3) == 0.0
         allowed = np.array([[0.1, 0.2, 0.0], [-0.2, 0.1, 0.0], [0.0, 0.0, 0.7]])
@@ -571,3 +601,30 @@ class TestUnitAxisValidation:
             _require_unit_axis(bad)
         with pytest.raises(InvalidBlochError, match=f"^direction\\[1\\] {re.escape(text)}$"):
             _require_unit_axis([[0.0, 0.0, 1.0], bad])
+
+    #: |m| - 1 is 9.9999986e-10 by `math.hypot` and 1.00000008e-09 by numpy's norm
+    HYPOT_UNIT = [[-0.19682335191759404, -0.8230750429647886, 0.5327363736299918],
+                  [0.27691729726968684, 0.8121966511580718, -0.5134719197000603]]
+
+    @pytest.mark.parametrize("vec", HYPOT_UNIT, ids=["edge0", "edge1"])
+    def test_edge_axis_is_accepted_in_every_form(self, vec):
+        single, stack = self.check(vec)
+        np.testing.assert_array_equal(stack[1], single)
+        p, z = ClonerParams(0.2, 0.1, 0.05), [0.0, 0.0, 1.0]
+        alone = no_signaling_residual(p, vec, z)
+        stacked = no_signaling_residual(p, [z, vec], [z, z])
+        assert alone < 1e-15 and stacked[1] < 1e-15
+        np.testing.assert_array_equal(output_state(p, [z, vec])[1], output_state(p, vec))
+
+    def test_one_rule_refuses_alone_and_stacked(self):
+        # hypot puts |m| - 1 at 1.00000008e-09, numpy's norm at 9.9999986e-10
+        vec = [0.3635365680448477, 0.8642994876218058, 0.3476025911739697]
+        for form in (vec, [[0.0, 0.0, 1.0], vec]):
+            with pytest.raises(InvalidBlochError, match=r"^direction(\[1\])? must be unit length"):
+                _require_unit_axis(form)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 3)])
+    def test_refuses_a_shape_that_is_not_one_or_a_stack(self, shape):
+        text = f"direction must be a 3-vector or an (N, 3) stack, got {shape}"
+        with pytest.raises(InvalidBlochError, match=f"^{re.escape(text)}$"):
+            _require_unit_axis(np.zeros(shape))

@@ -142,6 +142,11 @@ class TestPauliDecomposition:
             worst = max(worst, np.max(np.abs(back - h)))
         assert worst < 1e-12
 
+    def test_rejects_a_matrix_that_is_not_4x4(self):
+        text = r"^two-qubit matrix must be 4x4, got shape \(3, 3\)$"
+        with pytest.raises(InvalidStateError, match=text):
+            pauli_decompose(np.eye(3))
+
     def test_rejects_non_hermitian(self):
         bad = np.eye(4, dtype=complex)
         bad[0, 1] = 1.0

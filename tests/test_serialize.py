@@ -77,6 +77,10 @@ class TestLibraryValues:
         matrix = np.array([[1 / 3, -0.0], [2.0, 1e22]])
         assert dump_json(matrix) == dump_json(matrix.tolist())
 
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError, match="^cannot serialize object to JSON$"):
+            dump_json(object())
+
     def test_missing_value_is_null_in_json_and_an_empty_csv_cell(self):
         assert dump_json({"mc_estimate": None}) == '{"mc_estimate": null}\n'
         assert list(csv_lines(("a", "b", "c"), [(None, 0.5, None)])) == ["a,b,c", ",0.5,"]
