@@ -25,7 +25,8 @@ over (eta, t) and `_central_levels` over (t, t_xy), which
 
 The no-signaling difference rho(+a) + rho(-a) - rho(+b) - rho(-b) comes
 from the correlation sum alone: the identity and the eta terms cancel
-exactly, leaving the co-rotated R t R^T at +-a minus those at +-b.
+exactly, leaving D, the co-rotated R t R^T at +-a minus those at +-b: real
+3x3, and real symmetric as a 4x4 in the magic basis (Hill & Wootters 1997).
 
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
 per row.  One rule in Python floats decides every row, alone or in a
@@ -42,15 +43,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidBlochError
-from .pauli import BASIS, STATE_TOL, _bloch_length, _half_trace_norm
+from .pauli import BASIS, STATE_TOL, _printed_length
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
 _CORR_BASIS = BASIS[1:, 1:].reshape(9, 16)
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+#: sigma_j (x) sigma_k in the magic basis, columns _MAGIC / sqrt(2): real, entries 0 and +-1
+_MAGIC_CORR = (_MAGIC.conj().T @ BASIS[1:, 1:] @ _MAGIC).real.reshape(9, 16) / 2.0
 
-_EYE = np.eye(3)
 #: `_rotations_z_to` row-major at m = -zhat (a half turn about xhat) and at m = zhat
-_POLE_ROWS = ((1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0), tuple(_EYE.ravel().tolist()))
+_POLE_ROWS = ((1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0), tuple(np.eye(3).ravel().tolist()))
 _DIAGONAL = 1.0 / math.sqrt(3.0)
 
 #: axis pairs probing the opposite-mixture identity: with the fourth, the
@@ -66,7 +69,7 @@ CANONICAL_AXIS_PAIRS = (
 def _check_magnitude(name, value):
     """A finite float with |value| <= 1, exactly: a given number has no round-off."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if abs(value) > 1.0:
         raise ValueError(f"|{name}| must be <= 1, got {value!r}")
@@ -114,9 +117,10 @@ class GeneralClonerParams:
         mat = np.array(self.t, dtype=float)
         if mat.shape != (3, 3):
             raise ValueError(f"t must be a 3x3 matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        entries = mat.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise ValueError("t contains non-finite entries")
-        if np.max(np.abs(mat)) > 1.0:
+        if max(map(abs, entries)) > 1.0:
             raise ValueError("all |t_jk| must be <= 1")
         mat.flags.writeable = False
         object.__setattr__(self, "t", mat)
@@ -163,7 +167,7 @@ def _require_unit_axis(m, what="direction"):
             name = what if vec.ndim == 1 else f"{what}[{rows.index(row)}]"
             if not all(map(math.isfinite, row)):
                 raise InvalidBlochError(f"{name} must be a finite 3-vector, got {row}")
-            raise InvalidBlochError(f"{name} must be unit length, |m| = {_bloch_length(row)}")
+            raise InvalidBlochError(f"{name} must be unit length, |m| = {_printed_length(row)}")
     return vec
 
 
@@ -193,15 +197,17 @@ def bloch_rotation_z_to(m) -> np.ndarray:
 
 
 def _rotations_z_to(axes):
-    """`bloch_rotation_z_to` for validated axes, shape (..., 3) -> (..., 3, 3).
+    """`bloch_rotation_z_to` for validated axes: (..., 3) -> (..., 3, 3); N row lists -> (N, 3, 3).
 
     Row by row in Python floats, in the expressions and order of the
     vectorized body in `tests/reference.py`: each step is one correctly
     rounded IEEE operation, so both agree bit for bit.  A few axes cost
     ~1.5 us each, under numpy's ~30 us floor; 1000 take ~1.2 ms, not ~0.1.
     """
+    rows, lead = (axes, (len(axes),)) if isinstance(axes, list) else (
+        axes.reshape(-1, 3).tolist(), axes.shape[:-1])
     flat = []
-    for x, y, z in axes.reshape(-1, 3).tolist():
+    for x, y, z in rows:
         norm = math.sqrt(x * x + y * y + z * z)
         x, y, z = x / norm, y / norm, z / norm
         rho2 = x * x + y * y
@@ -211,7 +217,7 @@ def _rotations_z_to(axes):
         f = (1.0 - z) / rho2
         fx, fy = f * x, f * y
         flat.extend((1.0 - fx * x, -fx * y, x, -fx * y, 1.0 - fy * y, y, -x, -y, z))
-    return np.array(flat).reshape(axes.shape[:-1] + (3, 3))
+    return np.array(flat).reshape(lead + (3, 3))
 
 
 def output_state(params, m) -> np.ndarray:
@@ -245,11 +251,9 @@ def _assemble(params, rot):
 
 
 def template_state_z(params) -> np.ndarray:
-    """The z-frame template state of either parameter type.
-
-    `output_state` at zhat bit for bit: `_rotations_z_to` returns exactly the identity there.
-    """
-    return _assemble(params, _EYE[None])[0]
+    """The z-frame template of either parameter type: `output_state` at zhat, bit for bit."""
+    corr = params.as_matrix().reshape(9) @ _CORR_BASIS
+    return (BASIS[0, 0] + params.eta * _BLOCH_PAIR[2] + corr.reshape(4, 4)) / 4.0
 
 
 def min_output_eigenvalue(params) -> float:
@@ -273,7 +277,7 @@ def axial_covariance_residual(rho, m) -> float:
     invariant under rotations about m, as every family member is about
     its own axis.
     """
-    gen = np.einsum("j,jab->ab", _require_one_axis(m), _BLOCH_PAIR)
+    gen = (_require_one_axis(m) @ _BLOCH_PAIR.reshape(3, 16)).reshape(4, 4)
     arr = np.asarray(rho, dtype=complex)
     return float(np.linalg.norm(gen @ arr - arr @ gen))
 
@@ -287,10 +291,8 @@ def covariance_constraint_residual(t) -> float:
     mat = np.asarray(t.as_matrix() if hasattr(t, "as_matrix") else t, dtype=float)
     if mat.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-    return float(max(
-        abs(mat[0, 0] - mat[1, 1]), abs(mat[0, 1] + mat[1, 0]),
-        abs(mat[0, 2]), abs(mat[2, 0]), abs(mat[1, 2]), abs(mat[2, 1]),
-    ))
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, _) = mat.tolist()
+    return max(abs(xx - yy), abs(xy + yx), abs(xz), abs(zx), abs(yz), abs(zy))
 
 
 def no_signaling_residual(params, axis_a, axis_b):
@@ -308,20 +310,33 @@ def no_signaling_residual(params, axis_a, axis_b):
     b = _require_unit_axis(axis_b, "axis_b")
     if a.shape != b.shape:
         raise InvalidBlochError(f"axis_a and axis_b differ in shape: {a.shape} vs {b.shape}")
-    distance = _half_trace_norm(_opposite_difference(params, a, b)[0])
+    distance = _signal_distance(_opposite_difference(params, a, b)[0])
     return float(distance) if a.ndim == 1 else distance
 
 
 def _opposite_difference(params, a, b):
-    """(rho(+a) + rho(-a)) - (rho(+b) + rho(-b)) and the rotations to +a, -a, +b, -b.
+    """D, with rho(+a) + rho(-a) - rho(+b) - rho(-b) = `_correlation_part(D)`, and the rotations
+    to +a, -a, +b, -b, stacked first: axes (3,) give D (3, 3), axes (N, 3) give (N, 3, 3)."""
+    if a.ndim == 1:  # the four rotation rows straight from Python floats
+        a, b = a.tolist(), b.tolist()
+        rot = _rotations_z_to([a, [-v for v in a], b, [-v for v in b]])
+    else:
+        rot = _rotations_z_to(np.array([a, -a, b, -b]))
+    corr = rot @ params.as_matrix() @ rot.swapaxes(-1, -2)
+    return corr[0] + corr[1] - (corr[2] + corr[3]), rot
 
-    The difference is the co-rotated R t R^T sum alone.  Axes (3,) or
-    (N, 3); the rotations are stacked first, shape (4, ..., 3, 3).
-    """
-    rot = _rotations_z_to(np.array([a, -a, b, -b]))
-    corr = rot @ params.as_matrix() @ np.swapaxes(rot, -1, -2)
-    diff = (corr[0] + corr[1] - (corr[2] + corr[3])).reshape(a.shape[:-1] + (9,))
-    return (diff @ _CORR_BASIS).reshape(a.shape[:-1] + (4, 4)) / 4.0, rot
+
+def _correlation_part(corr):
+    """(1/4) sum_jk corr_jk sigma_j (x) sigma_k: complex (..., 4, 4) from real (..., 3, 3)."""
+    lead = corr.shape[:-2]
+    return (corr.reshape(lead + (9,)) @ _CORR_BASIS).reshape(lead + (4, 4)) / 4.0
+
+
+def _signal_distance(diff):
+    """The opposite sums' trace distance from D (..., 3, 3), by one real magic-basis spectrum."""
+    lead = diff.shape[:-2]
+    sym = (diff.reshape(lead + (9,)) @ _MAGIC_CORR).reshape(lead + (4, 4))  # 4x the difference
+    return np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1) / 8.0
 
 
 def _outer_levels(eta, t):

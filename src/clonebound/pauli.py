@@ -23,17 +23,19 @@ one `einsum` against it.  4x4 spectra come from LAPACK's `eigvalsh`; a
 qubit's are (tr +- |m|)/2, so `is_positive`, the one verdict on states
 (STATE_TOL is the only round-off allowance), judges it by |m|.
 
-Public functions validate their inputs once, at entry, through one
-Hermiticity check: the shape, finiteness by one `vdot` (it catches any
-non-finite entry and warns of none), one residual reduction max |A -
-A^dag|.  The private `_half_trace_norm` takes stacks (..., n, n) and
-validates nothing: the package calls it on differences
-of states it built itself.  The SU(2) rotation and Bloch readout that
-only the tests use live in `tests/reference.py`.
+Public functions validate their inputs once, at entry: the shape, then
+one `tolist()` judged in Python floats.  The upper triangle's max
+|A_jk - conj(A_kj)|, each by `math.hypot` (inf past ~1.8e308), passes
+only if every entry is finite; numpy names a non-finite one.  A qubit's
+trace and |m| come from the same entries.  Returned arrays are numpy's.
+The private `_half_trace_norm` validates nothing: `trace_distance` calls
+it on the difference of two checked matrices.  The SU(2) rotation and
+Bloch readout that only the tests use live in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,27 +66,37 @@ BASIS = np.array([[np.kron(pj, pk) for pk in _PAULI_BY_INDEX] for pj in _PAULI_B
 BASIS.flags.writeable = False
 
 
+#: row-major flat indices (n j + k, n k + j) of the upper triangle j <= k of n x n matrices
+_UPPER = {n: [(n * j + k, n * k + j) for j in range(n) for k in range(j, n)] for n in (2, 4)}
+
+
 def _as_complex_square(m, dim, what):
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (dim, dim):
         raise InvalidStateError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
-    # |arr|_F^2 is finite unless an entry is not or is ~1e154 or more; BLAS warns of neither
-    bounded = np.vdot(arr, arr).real < np.inf
-    if not bounded and not np.isfinite(arr).all():
+    return arr
+
+
+def _require_finite(arr, what):
+    if not np.isfinite(arr).all():
         raise InvalidStateError(f"{what} contains non-finite entries")
-    return arr, bounded
+    return arr
 
 
 def _require_hermitian(m, dim, what):
-    arr, bounded = _as_complex_square(m, dim, what)
-    if bounded:
-        res = abs(arr - arr.conj().T).max()
-    else:  # an entry is ~1e154 or more: A - A^dag may overflow to inf
-        with np.errstate(over="ignore"):
-            res = abs(arr - arr.conj().T).max()
-    if res > STATE_TOL:
+    arr = _as_complex_square(m, dim, what)
+    flat = arr.ravel().tolist()
+    res = 0.0
+    for jk, kj in _UPPER[dim]:
+        d = flat[jk] - flat[kj].conjugate()
+        r = math.hypot(d.real, d.imag)  # abs(d) raises OverflowError past ~1.8e308
+        if r > res or r != r:  # a nan sticks
+            res = r
+    # a non-finite entry makes its pair's r inf or nan, so a passing res means all are finite
+    if not res <= STATE_TOL:
+        _require_finite(arr, what)
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
-    return arr
+    return arr, flat
 
 
 def is_positive(lowest):
@@ -96,20 +108,18 @@ def is_positive(lowest):
     return lowest >= -STATE_TOL
 
 
-def _bloch_length(vec):
-    """|m| over the last axis of real (..., 3) vectors; a huge component reads as inf."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(vec, axis=-1)
+def _printed_length(row):
+    """The |m| a refusal prints: the `hypot` value that decided it, or inf where |m|^2 overflows."""
+    return math.inf if math.isinf(sum(x * x for x in row)) else math.hypot(*row)
 
 
 def _require_one_qubit_state(rho, what="density matrix"):
     """The state and its Bloch length |m|, m = (2 Re rho_10, 2 Im rho_10, rho_00 - rho_11)."""
-    arr = _require_hermitian(rho, 2, what)
-    tr = arr[0, 0].real + arr[1, 1].real
+    arr, (r00, _, r10, r11) = _require_hermitian(rho, 2, what)
+    tr = r00.real + r11.real
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidStateError(f"{what} has trace {tr!r}, expected 1")
-    off = complex(arr[1, 0])  # Python floats: a huge entry reads as inf, with no warning
-    length = float(_bloch_length([2 * off.real, 2 * off.imag, arr[0, 0].real - arr[1, 1].real]))
+    length = math.hypot(2 * r10.real, 2 * r10.imag, r00.real - r11.real)
     lo = (tr - length) / 2.0
     if not is_positive(lo):
         raise InvalidStateError(f"{what} has negative eigenvalue {lo:.3e}")
@@ -121,12 +131,13 @@ def bloch_to_density(m) -> np.ndarray:
     vec = np.asarray(m, dtype=float)
     if vec.shape != (3,):
         raise InvalidBlochError(f"Bloch vector must have 3 components, got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    x, y, z = row = vec.tolist()
+    if not all(map(math.isfinite, row)):
         raise InvalidBlochError("Bloch vector contains non-finite components")
-    norm = float(_bloch_length(vec))
+    norm = math.hypot(x, y, z)
     if not is_positive((1.0 - norm) / 2.0):
-        raise InvalidBlochError(f"Bloch vector norm {norm} exceeds 1")
-    return (IDENTITY + vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z) / 2.0
+        raise InvalidBlochError(f"Bloch vector norm {_printed_length(row)} exceeds 1")
+    return (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0
 
 
 def tensor(a, b) -> np.ndarray:
@@ -169,7 +180,7 @@ def pauli_decompose(rho) -> PauliCoefficients:
     The imaginary parts of the raw traces vanish for Hermitian input;
     they are checked and discarded.
     """
-    arr = _require_hermitian(rho, 4, "two-qubit matrix")
+    arr, _ = _require_hermitian(rho, 4, "two-qubit matrix")
     # diagonal of rho @ BASIS[j, k], summed over a the same way np.trace
     # sums it, so the coefficients do not depend on einsum's summation order
     table = np.einsum("ab,jkba->jka", arr, BASIS).sum(axis=-1).real / 4.0
@@ -198,7 +209,7 @@ def partial_trace(rho, keep: int) -> np.ndarray:
         rho: 4x4 Hermitian matrix.
         keep: 1 to keep the first qubit, 2 to keep the second.
     """
-    arr = _require_hermitian(rho, 4, "two-qubit matrix")
+    arr, _ = _require_hermitian(rho, 4, "two-qubit matrix")
     blocks = arr.reshape(2, 2, 2, 2)
     if keep == 1:
         return np.einsum("abcb->ac", blocks)
@@ -209,7 +220,7 @@ def partial_trace(rho, keep: int) -> np.ndarray:
 
 def hermitian_eigenvalues4(m) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix, descending."""
-    arr = _require_hermitian(m, 4, "matrix")
+    arr, _ = _require_hermitian(m, 4, "matrix")
     return np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[::-1]
 
 
@@ -234,9 +245,9 @@ def trace_distance(rho, sigma) -> float:
     accepts matched non-normalized pairs (e.g. two sums of states),
     where the bound scales with the common trace.
     """
-    a = _require_hermitian(rho, 4, "first matrix")
-    b = _require_hermitian(sigma, 4, "second matrix")
-    if abs(np.trace(a).real - np.trace(b).real) > STATE_TOL:
+    a, flat_a = _require_hermitian(rho, 4, "first matrix")
+    b, flat_b = _require_hermitian(sigma, 4, "second matrix")
+    if abs(sum(z.real for z in flat_a[::5]) - sum(z.real for z in flat_b[::5])) > STATE_TOL:
         raise InvalidStateError("trace distance requires matrices of equal trace")
     diff = a - b
     return float(_half_trace_norm((diff + diff.conj().T) / 2.0))
@@ -252,7 +263,7 @@ def bloch_rotation_matrix(u) -> np.ndarray:
 
     R satisfies U (m . sigma) U^dag = (R m) . sigma.
     """
-    arr, _ = _as_complex_square(u, 2, "unitary")
+    arr = _require_finite(_as_complex_square(u, 2, "unitary"), "unitary")
     return np.einsum("jab,bc,kcd,ad->jk", SIGMA, arr, SIGMA, arr.conj()).real / 2.0
 
 
@@ -261,13 +272,16 @@ def random_rotation(seed: int):
 
     Four standard normal deviates are normalized into a unit quaternion
     (w, x, y, z) and mapped to U = w I + i(x sigma_x + y sigma_y +
-    z sigma_z).  Deterministic: the same seed always returns the same
-    pair (U, R).
+    z sigma_z); R, quadratic in it, is `bloch_rotation_matrix(U)` within
+    round-off.  Deterministic: the same seed always returns the same pair.
     """
     rng = np.random.default_rng(seed)
-    quat = rng.standard_normal(4)
-    while np.linalg.norm(quat) < 1e-6:
-        quat = rng.standard_normal(4)
-    w, x, y, z = quat / np.linalg.norm(quat)
+    quat = rng.standard_normal(4).tolist()
+    while math.hypot(*quat) < 1e-6:
+        quat = rng.standard_normal(4).tolist()
+    norm = math.hypot(*quat)
+    w, x, y, z = (q / norm for q in quat)
     u = np.array([[w + 1.0j * z, 1.0j * x + y], [1.0j * x - y, w - 1.0j * z]])
-    return u, bloch_rotation_matrix(u)
+    return u, np.array([[1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)],
+                        [2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)],
+                        [2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)]])

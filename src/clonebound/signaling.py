@@ -33,8 +33,8 @@ branch is skipped.
 
 Each public function validates its single axes once and takes one
 rotation stack for +a, -a, +b and -b; the trace distance and the
-Helstrom projector come from the correlation-sum difference, and the
-Monte Carlo assembles its four outputs from the same rotations.
+Helstrom projector come from the real correlation-sum difference D, and
+the Monte Carlo assembles its four outputs from the same rotations.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from typing import Optional
 import numpy as np
 
 from .bounds import feasible
-from .family import _assemble, _opposite_difference, _require_one_axis, output_state
-from .pauli import STATE_TOL, _half_trace_norm, bloch_to_density
+from .family import (_assemble, _correlation_part, _opposite_difference, _require_one_axis,
+                     _signal_distance, output_state)
+from .pauli import STATE_TOL, bloch_to_density
 
 #: the largest shot count numpy's samplers take (the int64 limit)
 MAX_SHOTS = 2**63 - 1
@@ -106,7 +107,7 @@ def averaged_clone_output(params, axis) -> np.ndarray:
 
 
 def _report(params, a, b, difference) -> SignalReport:
-    dist = float(_half_trace_norm(difference))
+    dist = float(_signal_distance(difference))
     return SignalReport(a, b, dist, 0.5 + dist / 4.0, physical=feasible(params))
 
 
@@ -160,8 +161,8 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     # axis 0 = a and sign 0 = +; Bob is right on Pi for a, otherwise for b
     outputs = _assemble(params, rotations)
     outcome_pi = np.clip(
-        np.trace(_helstrom(difference) @ outputs, axis1=-2, axis2=-1).real, 0.0, 1.0
-    )
+        np.trace(_helstrom(_correlation_part(difference)) @ outputs, axis1=-2, axis2=-1).real,
+        0.0, 1.0)
     rng = np.random.default_rng(int(seed))
     prepared = rng.multinomial(shots, [0.25] * 4)
     correct = rng.binomial(prepared, np.concatenate([outcome_pi[:2], 1.0 - outcome_pi[2:]]))
@@ -179,4 +180,4 @@ def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:
     """
     a = _require_one_axis(axis_a, "axis_a")
     b = _require_one_axis(axis_b, "axis_b")
-    return _helstrom(_opposite_difference(params, a, b)[0])
+    return _helstrom(_correlation_part(_opposite_difference(params, a, b)[0]))

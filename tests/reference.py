@@ -10,6 +10,8 @@ Those SU(2) functions use numpy and this module's Pauli matrices only.
 time, as one string.  `rotations_z_to` is the package's SO(3) Rodrigues
 body as numpy array operations over a whole stack, the oracle its
 per-row Python float body must match bit for bit.
+`no_signaling_residual_svd` takes the no-signaling distance from the
+SU(2) outputs and a singular value decomposition, not a 4x4 spectrum.
 """
 
 import math
@@ -107,6 +109,32 @@ def rotate_output(rho_z, m) -> np.ndarray:
     u = rotation_taking_z_to(m)
     w = np.kron(u, u)
     return w @ np.asarray(rho_z, dtype=complex) @ w.conj().T
+
+
+#: sigma_j (x) sigma_k for j, k in x, y, z
+_SIGMA_PAIRS = np.array([[np.kron(sj, sk) for sk in SIGMA] for sj in SIGMA])
+
+
+def no_signaling_residual_svd(params, axis_a, axis_b) -> float:
+    """`family.no_signaling_residual` from the SU(2) outputs and the singular values of D.
+
+    Delta = rho(+a) + rho(-a) - rho(+b) - rho(-b), each output the z-frame
+    template (1/4)(I + eta (Z (x) I + I (x) Z) + sum_jk t_jk sigma_j (x) sigma_k)
+    conjugated by U (x) U, and D_jk = Tr(Delta sigma_j (x) sigma_k).  Local
+    rotations bring D to diag(s1, s2, +-s3) with s1 >= s2 >= s3 >= 0, and the
+    absolute eigenvalues of sum_j d_j sigma_j (x) sigma_j sum to
+    2 max(s1 + s2 + s3, 2 s1) for either sign, so the trace distance
+    (1/2) sum |eig(Delta)| is max(s1 + s2 + s3, 2 s1) / 4.
+    """
+    z_pair = np.kron(SIGMA[2], IDENTITY) + np.kron(IDENTITY, SIGMA[2])
+    rho_z = (np.eye(4) + params.eta * z_pair
+             + np.einsum("jk,jkab->ab", params.as_matrix(), _SIGMA_PAIRS)) / 4.0
+    a, b = np.asarray(axis_a, dtype=float), np.asarray(axis_b, dtype=float)
+    delta = (rotate_output(rho_z, a) + rotate_output(rho_z, -a)
+             - rotate_output(rho_z, b) - rotate_output(rho_z, -b))
+    d = np.einsum("ab,jkba->jk", delta, _SIGMA_PAIRS).real
+    s = np.linalg.svd(d, compute_uv=False)
+    return max(s.sum(), 2.0 * s[0]) / 4.0
 
 
 _EYE = np.eye(3)

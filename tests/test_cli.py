@@ -20,7 +20,7 @@ import pytest
 from clonebound import cli, serialize
 from clonebound.bounds import MAX_RESOLUTION, feasible
 from clonebound.family import ClonerParams, GeneralClonerParams
-from clonebound.pauli import is_positive
+from clonebound.pauli import STATE_TOL, is_positive
 from clonebound.serialize import Table, dump_json, format_floats
 from clonebound.signaling import averaged_clone_output, helstrom_projector
 from reference import sweep_output
@@ -465,6 +465,14 @@ class TestOutputPlumbing:
         line = usage_error(capsys, argv)
         assert line.startswith(f"error: argument {argv[1]}: ")
         assert "array(" not in line
+
+    def test_unit_length_refusal_prints_the_deciding_length(self, capsys):
+        # |m| - 1 is 1.00000008e-9 by hypot, the rule's measure; numpy's norm reads 0.99999986e-9
+        axis = "0.3635365680448477,0.8642994876218058,0.3476025911739697"
+        line = usage_error(capsys, ["signal", "--axis-a", axis])
+        prefix = "error: argument --axis-a: direction must be unit length, |m| = "
+        assert line.startswith(prefix)
+        assert float(line[len(prefix):]) - 1.0 > STATE_TOL
 
     def test_short_vector_is_refused_at_its_flag(self, capsys):
         assert usage_error(capsys, ["verify", "--t_diag", "1,2"]) == (

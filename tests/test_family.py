@@ -9,6 +9,8 @@ from clonebound.family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
+    _MAGIC_CORR,
+    _correlation_part,
     _opposite_difference,
     _require_unit_axis,
     _rotations_z_to,
@@ -22,6 +24,7 @@ from clonebound.family import (
     template_state_z,
 )
 from clonebound.pauli import (
+    SIGMA,
     SIGMA_X,
     bloch_rotation_matrix,
     hermitian_eigenvalues4,
@@ -31,6 +34,7 @@ from clonebound.pauli import (
 )
 from reference import (
     density_to_bloch,
+    no_signaling_residual_svd,
     output_state_z,
     random_axis,
     random_params,
@@ -392,10 +396,10 @@ class TestNoSignalingResidual:
             p = GeneralClonerParams(eta=rng.uniform(-1, 1), t=rng.uniform(-1, 1, (3, 3)))
             combined = (output_state(p, axes_a) + output_state(p, -axes_a)
                         - output_state(p, axes_b) - output_state(p, -axes_b))
-            stacked = _opposite_difference(p, axes_a, axes_b)[0]
+            stacked = _correlation_part(_opposite_difference(p, axes_a, axes_b)[0])
             np.testing.assert_allclose(stacked, combined, rtol=0.0, atol=1e-15)
             for a, b, want in zip(axes_a, axes_b, combined):
-                single = _opposite_difference(p, a, b)[0]
+                single = _correlation_part(_opposite_difference(p, a, b)[0])
                 np.testing.assert_allclose(single, want, rtol=0.0, atol=1e-15)
                 assert np.trace(single) == 0.0
             assert np.all(np.trace(stacked, axis1=-2, axis2=-1) == 0.0)
@@ -447,6 +451,30 @@ class TestNoSignalingResidual:
         # stays silent inside the family
         p = ClonerParams(eta=1.0, t=0.0, t_xy=0.0)
         assert no_signaling_residual(p, (0, 0, 1), (1, 0, 0)) < 1e-12
+
+    def test_matches_the_singular_value_oracle(self):
+        # the SU(2) outputs and an SVD of D against the magic-basis spectrum
+        rng = np.random.default_rng(45)
+        poles = [(EDGE_AXES["plus_z"], EDGE_AXES["minus_z"]),
+                 (EDGE_AXES["minus_z"], EDGE_AXES["plus_z"]),
+                 (EDGE_AXES["plus_z"], EDGE_AXES["nearer_minus_z"])]
+        pairs = [(random_axis(rng), random_axis(rng)) for _ in range(2000)] + poles * 5
+        for a, b in pairs:
+            p = GeneralClonerParams(eta=rng.uniform(-1, 1), t=rng.uniform(-1, 1, (3, 3)))
+            assert no_signaling_residual(p, a, b) == pytest.approx(
+                no_signaling_residual_svd(p, a, b), rel=0.0, abs=1e-12)
+
+    def test_magic_table_is_a_real_form_of_the_pauli_pairs(self):
+        # Hill & Wootters' basis |00> + |11>, i(|00> - |11>), i(|01> + |10>), |01> - |10>
+        magic = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+        magic = magic / np.sqrt(2.0)
+        np.testing.assert_allclose(magic.conj().T @ magic, np.eye(4), atol=1e-15)
+        for (j, k), row in zip(np.ndindex(3, 3), _MAGIC_CORR):
+            table = row.reshape(4, 4)
+            assert set(table.ravel().tolist()) <= {-1.0, 0.0, 1.0}
+            np.testing.assert_array_equal(table, table.T)
+            np.testing.assert_allclose(magic @ table @ magic.conj().T, np.kron(SIGMA[j], SIGMA[k]),
+                                       rtol=0.0, atol=1e-15)
 
 
 class TestStackedAxes:

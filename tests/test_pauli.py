@@ -18,6 +18,7 @@ from clonebound.pauli import (
     bloch_rotation_matrix,
     bloch_to_density,
     hermitian_eigenvalues4,
+    is_positive,
     overlap_fidelity,
     partial_trace,
     pauli_decompose,
@@ -90,6 +91,14 @@ class TestBlochConversions:
         # |m|^2 overflows; pytest turns a numpy RuntimeWarning into an error
         with pytest.raises(InvalidBlochError, match="inf"):
             bloch_to_density((1e200, 0.0, 0.0))
+
+    def test_refusal_prints_the_length_that_decided(self):
+        # hypot reads 1 + 2e-9 plus an ulp, numpy's norm reads 1.000000002
+        m = (0.36486176808658227, 0.9240647561750199, -0.11393077101439338)
+        with pytest.raises(InvalidBlochError, match=r"^Bloch vector norm (\S+) exceeds 1$") as err:
+            bloch_to_density(m)
+        printed = float(err.value.args[0].split()[3])
+        assert not is_positive((1.0 - printed) / 2.0)
 
 
 class TestTensor:
@@ -366,6 +375,14 @@ class TestRotations:
             rebuilt = sum(r[j, k] * s for j, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)))
             np.testing.assert_allclose(conjugated, rebuilt, atol=1e-12)
 
+    def test_random_rotation_pins_its_quaternion_convention(self):
+        # R is built from the quaternion, not from U: both must stay one rotation
+        for seed in range(200):
+            u, r = random_rotation(seed)
+            np.testing.assert_allclose(r, bloch_rotation_matrix(u), rtol=0.0, atol=1e-15)
+            again_u, again_r = random_rotation(seed)
+            assert again_u.tobytes() == u.tobytes() and again_r.tobytes() == r.tobytes()
+
     def test_homomorphism(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -441,6 +458,23 @@ class TestNonFiniteInput:
         with pytest.raises(NotHermitianError,
                            match=rf"^{what} is not Hermitian \(residual inf\)$") as err:
             overlap_fidelity(*args)
+        assert err.type is NotHermitianError
+
+    #: A_01 - conj(A_10) = (1.5 + 1.5i)e308 has finite parts, but its modulus overflows
+    COMPLEX_OVERFLOW = 0.75e308 + 0.75e308j
+
+    def test_overflowing_modulus_reads_inf(self):
+        # abs() of such a complex raises OverflowError; the residual must read inf
+        one = np.array([[0.0, self.COMPLEX_OVERFLOW], [-self.COMPLEX_OVERFLOW.conjugate(), 1.0]])
+        with pytest.raises(NotHermitianError,
+                           match=r"^input state is not Hermitian \(residual inf\)$") as err:
+            overlap_fidelity(one, IDENTITY / 2)
+        assert err.type is NotHermitianError
+        two = np.zeros((4, 4), dtype=complex)
+        two[0, 3], two[3, 0] = self.COMPLEX_OVERFLOW, -self.COMPLEX_OVERFLOW.conjugate()
+        with pytest.raises(NotHermitianError,
+                           match=r"^two-qubit matrix is not Hermitian \(residual inf\)$") as err:
+            partial_trace(two, 1)
         assert err.type is NotHermitianError
 
     @pytest.mark.parametrize("entry", [1e200, 1e308, 1e200 + 1e200j])

@@ -308,7 +308,8 @@ class TestHelstromProjector:
 
     def test_round_off_noise_leaves_the_projector(self):
         rng = np.random.default_rng(18)
-        diff = family._opposite_difference(VIOLATOR, np.array(Z, float), np.array(X, float))[0]
+        diff = family._correlation_part(
+            family._opposite_difference(VIOLATOR, np.array(Z, float), np.array(X, float))[0])
         p = signaling._helstrom(diff)
         for _ in range(50):
             noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
