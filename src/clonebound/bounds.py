@@ -13,7 +13,8 @@ Two independent routes to the same number:
   positivity verdict (`pauli.is_positive`).  The ceiling grows with
   t, so that row holds the largest feasible eta on the whole (t, t_xy)
   grid.  Rows are scanned in blocks of at most 2**14 cells, or one row
-  when a row is longer, so memory stays bounded at any resolution.
+  when a row is longer, so memory stays bounded at any resolution; the
+  blocks share one entry buffer, its t_xy half written once per call.
 
 The grid acts as the brute-force check on the closed form, so it must
 never report a larger eta; ties between grid points resolve
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -77,20 +79,21 @@ def max_eta_closed_form() -> BoundResult:
     )
 
 
-def _matrix_entry_eigenvalues(eta, t, t_xy):
+def _matrix_entry_eigenvalues(eta, t, entry):
     """Output eigenvalues read straight off the z-frame matrix entries.
 
-    Vectorized over broadcastable eta/t/t_xy arrays.  Deliberately
-    reconstructs the values from the matrix layout (two decoupled
-    diagonal entries plus a 2x2 Hermitian block) instead of reusing the
-    closed-form expressions, so the grid search stays an independent
-    check on them.
+    Vectorized over broadcastable eta/t arrays and `entry`, four times
+    the block's off-diagonal entry (2t + 2i t_xy); the last level is
+    written over the array of |entry| / 4.  Deliberately reconstructs
+    the values from the matrix layout (two decoupled diagonal entries
+    plus a 2x2 Hermitian block) instead of reusing the closed-form
+    expressions, so the grid search stays an independent check on them.
     """
     d0 = (1.0 + 2.0 * eta + t) / 4.0
     d3 = (1.0 - 2.0 * eta + t) / 4.0
     block_diag = (1.0 - t) / 4.0
-    block_off = np.abs(2.0 * t + 2.0j * t_xy) / 4.0
-    return d0, d3, block_diag + block_off, block_diag - block_off
+    block_off = np.abs(entry) * 0.25
+    return d0, d3, block_diag + block_off, np.subtract(block_diag, block_off, out=block_off)
 
 
 def max_eta_grid(resolution: int) -> BoundResult:
@@ -105,7 +108,8 @@ def max_eta_grid(resolution: int) -> BoundResult:
     row of `resolution` values when a row is longer.  Every survivor in
     that row ties; ties resolve deterministically to the t_xy of
     smallest magnitude (negative side first on exact magnitude ties),
-    tracking the true t_xy = 0 maximizer at every resolution.
+    tracking the true t_xy = 0 maximizer at every resolution.  Blocks
+    share one entry buffer whose t_xy half is written once per call.
     """
     resolution = int(resolution)
     if not 3 <= resolution <= MAX_RESOLUTION:
@@ -113,13 +117,16 @@ def max_eta_grid(resolution: int) -> BoundResult:
             f"grid resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
     descending = axis[::-1]
-    rows = max(1, _GRID_CELLS // resolution)
+    rows = min(resolution, max(1, _GRID_CELLS // resolution))
+    entry = np.empty((rows, resolution), dtype=complex)
+    entry.imag = 2.0 * axis
     for lo in range(0, resolution, rows):
         t = descending[lo:lo + rows, None]
         eta = (1.0 + t) / 2.0
-        ok = np.ones((len(t), resolution), dtype=bool)
-        for lam in _matrix_entry_eigenvalues(eta, t, axis):
-            ok &= is_positive(lam)
+        entry[:len(t)].real = 2.0 * t
+        # d0 and d3 are (rows, 1): ANDed first, only two passes touch every cell
+        ok = reduce(np.logical_and,
+                    map(is_positive, _matrix_entry_eigenvalues(eta, t, entry[:len(t)])))
         hits = ok.any(axis=1)
         if hits.any():
             row = hits.argmax()  # the first, at the largest t

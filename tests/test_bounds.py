@@ -16,13 +16,23 @@ from clonebound.family import ClonerParams
 from clonebound.pauli import is_positive
 
 
+def grid_peak_bytes(resolution):
+    """tracemalloc's peak over one max_eta_grid(resolution) call."""
+    tracemalloc.start()
+    try:
+        max_eta_grid(resolution)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def full_plane_grid(resolution):
     """Reference: the argmax over the whole (t, t_xy) plane, same tie-break."""
     axis = np.linspace(-1.0, 1.0, resolution)
     t, t_xy = np.meshgrid(axis, axis, indexing="ij")
     eta = (1.0 + t) / 2.0
     ok = np.ones_like(t, dtype=bool)
-    for lam in _matrix_entry_eigenvalues(eta, t, t_xy):
+    for lam in _matrix_entry_eigenvalues(eta, t, 2.0 * t + 2.0j * t_xy):
         ok &= is_positive(lam)
     best_eta = float(np.max(eta[ok]))
     hit_t, hit_xy = np.where(ok & (eta == best_eta))
@@ -138,8 +148,9 @@ class TestGrid:
         assert res.fidelity_max == (1.0 + res.eta_max) / 2.0
 
     def test_row_scan_matches_full_plane(self):
-        # repr tells -0.0 from 0.0 and prints every float exactly
-        for resolution in [*range(3, 121), 201, 400, 401]:
+        # repr tells -0.0 from 0.0 and prints every float exactly; at 127-129
+        # the 2**14-cell block passes the whole plane and the row cap binds
+        for resolution in [*range(3, 121), 127, 128, 129, 201, 400, 401]:
             assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
@@ -149,12 +160,34 @@ class TestGrid:
             monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
             assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
 
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_every_block_sees_the_one_line_entry(self, monkeypatch, rows):
+        # the reused buffer holds 2t + 2i t_xy bit for bit in every block
+        # scanned, so its t_xy half survives the blocks before
+        seen = []
+
+        def spy(eta, t, entry):
+            seen.append((t.copy(), entry.copy()))
+            return _matrix_entry_eigenvalues(eta, t, entry)
+
+        resolution = 41
+        monkeypatch.setattr(bounds, "_matrix_entry_eigenvalues", spy)
+        monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
+        max_eta_grid(resolution)
+        axis = np.linspace(-1.0, 1.0, resolution)
+        assert len(seen) > 1
+        for t, entry in seen:
+            assert entry.tobytes() == (2.0 * t + 2.0j * axis).tobytes()
+
     def test_memory_is_one_row(self):
         # the whole 1001 x 1001 plane would need ~69 MiB
-        tracemalloc.start()
-        try:
-            max_eta_grid(1001)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert grid_peak_bytes(1001) < 2 ** 20
+
+    def test_memory_at_the_cli_default(self):
+        # the default --resolution, whose peak the README gives
+        assert grid_peak_bytes(2001) < 2 ** 20
+
+    def test_block_never_outgrows_the_plane(self):
+        # a block of 2**14 cells at R = 3 would be 5461 rows, ~260 KiB
+        # of complex entry, for a plane of 9 cells
+        assert grid_peak_bytes(3) < 16 * 2 ** 10
