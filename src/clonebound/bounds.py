@@ -12,9 +12,10 @@ Two independent routes to the same number:
   row with a point whose four eigenvalues pass the package's one
   positivity verdict (`pauli.is_positive`).  The ceiling grows with
   t, so that row holds the largest feasible eta on the whole (t, t_xy)
-  grid.  Rows are scanned in blocks of at most 2**14 cells, or one row
-  when a row is longer, so memory stays bounded at any resolution; the
-  blocks share one entry buffer, its t_xy half written once per call.
+  grid.  What depends on t alone is worked out once per call; the
+  cells are scanned in blocks of at most 2**14, or one row when a row
+  is longer, so memory stays O(resolution).  Blocks share one entry
+  buffer, its t_xy half written once per call, and two level buffers.
 
 The grid acts as the brute-force check on the closed form, so it must
 never report a larger eta; ties between grid points resolve
@@ -23,9 +24,9 @@ deterministically (see max_eta_grid).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -79,21 +80,20 @@ def max_eta_closed_form() -> BoundResult:
     )
 
 
-def _matrix_entry_eigenvalues(eta, t, entry):
-    """Output eigenvalues read straight off the z-frame matrix entries.
+def _row_levels(eta, t):
+    """The output levels fixed by the row: the outer pair d0, d3 and the block diagonal.
 
-    Vectorized over broadcastable eta/t arrays and `entry`, four times
-    the block's off-diagonal entry (2t + 2i t_xy); the last level is
-    written over the array of |entry| / 4.  Deliberately reconstructs
-    the values from the matrix layout (two decoupled diagonal entries
-    plus a 2x2 Hermitian block) instead of reusing the closed-form
-    expressions, so the grid search stays an independent check on them.
+    With `_central_levels`, the eigenvalues read off the z-frame matrix
+    layout (two diagonal entries plus a 2x2 Hermitian block), not off
+    the closed form, so the grid stays an independent check on it.
     """
-    d0 = (1.0 + 2.0 * eta + t) / 4.0
-    d3 = (1.0 - 2.0 * eta + t) / 4.0
-    block_diag = (1.0 - t) / 4.0
-    block_off = np.abs(entry) * 0.25
-    return d0, d3, block_diag + block_off, np.subtract(block_diag, block_off, out=block_off)
+    return (1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0, (1.0 - t) / 4.0
+
+
+def _central_levels(block_diag, entry, upper, lower):
+    """The block's levels block_diag +- |entry|/4 into `upper`, `lower`; entry = 2t + 2i t_xy."""
+    np.multiply(np.abs(entry, out=lower), 0.25, out=lower)  # exact, so equal to / 4.0
+    return np.add(block_diag, lower, out=upper), np.subtract(block_diag, lower, out=lower)
 
 
 def max_eta_grid(resolution: int) -> BoundResult:
@@ -108,34 +108,45 @@ def max_eta_grid(resolution: int) -> BoundResult:
     row of `resolution` values when a row is longer.  Every survivor in
     that row ties; ties resolve deterministically to the t_xy of
     smallest magnitude (negative side first on exact magnitude ties),
-    tracking the true t_xy = 0 maximizer at every resolution.  Blocks
-    share one entry buffer whose t_xy half is written once per call.
+    tracking the true t_xy = 0 maximizer at every resolution.  The outer
+    pair is judged once per row, each cell once on the lower of its
+    central pair; `resolution` must be an integer (`operator.index`).
     """
-    resolution = int(resolution)
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise InvalidResolutionError(
+            f"grid resolution must be an integer, got {resolution!r}") from None
     if not 3 <= resolution <= MAX_RESOLUTION:
         raise InvalidResolutionError(
             f"grid resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    descending = axis[::-1]
+    descending = axis[::-1, None]
+    d0, d3, block_diag = _row_levels((1.0 + descending) / 2.0, descending)
+    row_ok = is_positive(d0) & is_positive(d3)
+    del d0, d3  # only their verdict is kept
+    two_t = 2.0 * descending
     rows = min(resolution, max(1, _GRID_CELLS // resolution))
     entry = np.empty((rows, resolution), dtype=complex)
     entry.imag = 2.0 * axis
+    upper, lower = np.empty(entry.shape), np.empty(entry.shape)
     for lo in range(0, resolution, rows):
-        t = descending[lo:lo + rows, None]
-        eta = (1.0 + t) / 2.0
-        entry[:len(t)].real = 2.0 * t
-        # d0 and d3 are (rows, 1): ANDed first, only two passes touch every cell
-        ok = reduce(np.logical_and,
-                    map(is_positive, _matrix_entry_eigenvalues(eta, t, entry[:len(t)])))
-        hits = ok.any(axis=1)
+        n = min(rows, resolution - lo)
+        entry[:n].real = two_t[lo:lo + n]
+        ok = is_positive(np.minimum(*_central_levels(
+            block_diag[lo:lo + n], entry[:n], upper[:n], lower[:n]), out=lower[:n]))
+        if not ok.any():
+            continue
+        hits = ok.any(axis=1) & row_ok[lo:lo + n, 0]
         if hits.any():
             row = hits.argmax()  # the first, at the largest t
-            eta_max = float(eta[row, 0])
+            t = descending[lo + row, 0]
+            eta_max = float((1.0 + t) / 2.0)
             t_xy = axis[ok[row]]
             pick = np.lexsort((t_xy, np.abs(t_xy)))[0]
             return BoundResult(
                 eta_max=eta_max,
-                t_star=float(t[row, 0]),
+                t_star=float(t),
                 t_xy_star=float(t_xy[pick]),
                 fidelity_max=(1.0 + eta_max) / 2.0,
                 method="grid",

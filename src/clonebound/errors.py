@@ -26,4 +26,4 @@ class NotInFamilyError(CloneBoundError):
 
 
 class InvalidResolutionError(CloneBoundError):
-    """Grid resolution outside [3, bounds.MAX_RESOLUTION]."""
+    """Grid resolution not an integer, or outside [3, bounds.MAX_RESOLUTION]."""

@@ -1,3 +1,5 @@
+import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from clonebound import bounds
 from clonebound.bounds import (
     BoundResult,
-    _matrix_entry_eigenvalues,
+    _central_levels,
+    _row_levels,
     feasible,
     max_eta_closed_form,
     max_eta_grid,
@@ -31,8 +34,11 @@ def full_plane_grid(resolution):
     axis = np.linspace(-1.0, 1.0, resolution)
     t, t_xy = np.meshgrid(axis, axis, indexing="ij")
     eta = (1.0 + t) / 2.0
+    d0, d3, block_diag = _row_levels(eta, t)
+    entry = 2.0 * t + 2.0j * t_xy
+    central = _central_levels(block_diag, entry, np.empty(t.shape), np.empty(t.shape))
     ok = np.ones_like(t, dtype=bool)
-    for lam in _matrix_entry_eigenvalues(eta, t, 2.0 * t + 2.0j * t_xy):
+    for lam in (d0, d3, *central):
         ok &= is_positive(lam)
     best_eta = float(np.max(eta[ok]))
     hit_t, hit_xy = np.where(ok & (eta == best_eta))
@@ -95,6 +101,17 @@ class TestGrid:
         # above MAX_RESOLUTION: refused before the axis is allocated
         with pytest.raises(InvalidResolutionError):
             max_eta_grid(10 ** 9)
+
+    @pytest.mark.parametrize("value", [7.9, 2001.0, "7", float("nan"), 1e300])
+    def test_refuses_non_integers(self, value):
+        # refused before any rounding: 7.9 would scan a 7-point grid, and
+        # 1e300 would print its 301-digit integer
+        with pytest.raises(InvalidResolutionError, match=re.escape(repr(value))) as err:
+            max_eta_grid(value)
+        assert len(str(err.value)) < 80
+
+    def test_numpy_integers_pass(self):
+        assert repr(max_eta_grid(np.int64(7))) == repr(max_eta_grid(7))
 
     def test_coarsest_grid_by_hand(self):
         # resolution 3 samples t and t_xy in {-1, 0, 1}; the best feasible
@@ -163,21 +180,46 @@ class TestGrid:
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_every_block_sees_the_one_line_entry(self, monkeypatch, rows):
         # the reused buffer holds 2t + 2i t_xy bit for bit in every block
-        # scanned, so its t_xy half survives the blocks before
+        # scanned, so its t_xy half survives the blocks before; the blocks
+        # follow each other down the t axis
         seen = []
 
-        def spy(eta, t, entry):
-            seen.append((t.copy(), entry.copy()))
-            return _matrix_entry_eigenvalues(eta, t, entry)
+        def spy(block_diag, entry, upper, lower):
+            seen.append(entry.copy())
+            return _central_levels(block_diag, entry, upper, lower)
 
         resolution = 41
-        monkeypatch.setattr(bounds, "_matrix_entry_eigenvalues", spy)
+        monkeypatch.setattr(bounds, "_central_levels", spy)
         monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
         max_eta_grid(resolution)
         axis = np.linspace(-1.0, 1.0, resolution)
+        descending = axis[::-1, None]
         assert len(seen) > 1
-        for t, entry in seen:
+        lo = 0
+        for entry in seen:
+            t = descending[lo:lo + len(entry)]
             assert entry.tobytes() == (2.0 * t + 2.0j * axis).tobytes()
+            lo += len(entry)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_row_levels_once_per_call(self, monkeypatch, rows):
+        # the per-row part covers the whole axis in one call, however
+        # many blocks the scan goes through
+        calls = collections.Counter()
+
+        def counted(part):
+            def spy(*args):
+                calls[part.__name__] += 1
+                return part(*args)
+            return spy
+
+        monkeypatch.setattr(bounds, "_row_levels", counted(_row_levels))
+        monkeypatch.setattr(bounds, "_central_levels", counted(_central_levels))
+        for n, resolution in enumerate((41, 101), start=1):
+            monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
+            max_eta_grid(resolution)
+            assert calls["_row_levels"] == n
+        assert calls["_central_levels"] > 2
 
     def test_memory_is_one_row(self):
         # the whole 1001 x 1001 plane would need ~69 MiB
