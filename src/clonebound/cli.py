@@ -17,16 +17,11 @@ Subcommands:
 The parser validates every flag: its `add_argument` declares the
 default and a `type=` parser that checks the value and its range, so a
 bad value is refused as `argument --flag: ...`.  Each handler returns
-(exit status, output chunks), made as they are written: `sweep` makes
-one chunk per piece of at most `_PIECE_ROWS` rows of an eta block.  A
-piece is a pool of distinct cell texts and, per row, integer indices
-into it that numpy computes, so `serialize.Table` writes it with one
-gather and one join, and memory holds one piece at any `--resolution`.
-Each distinct eigenvalue is formatted once, and one slot keeps a
-piece's pair and central-level text for the next eta block when its
-piece is the same rectangle.  `main` writes the chunks, to stdout or to
-`--out`, created once flags are valid; its parser is built once per
-process.
+(exit status, output chunks), made as they are written: `sweep` writes
+`landscape.sweep_blocks`' pieces through `serialize.Table`, so memory
+holds one batch at any `--resolution`.  `main` writes the chunks, to
+stdout or to `--out`, created once flags are valid; its parser is built
+once per process.
 
 Exit status: 0 success (all checks passed where applicable), 1 verify
 failure, 2 usage error (bad flags, malformed numbers, non-unit axes,
@@ -52,8 +47,6 @@ from .family import (
     CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
-    _central_levels,
-    _outer_levels,
     _require_unit_axis,
     axial_covariance_residual,
     covariance_constraint_residual,
@@ -61,6 +54,7 @@ from .family import (
     no_signaling_residual,
     template_state_z,
 )
+from .landscape import SWEEP_HEADER, sweep_blocks
 from .pauli import (
     STATE_TOL,
     bloch_to_density,
@@ -221,83 +215,9 @@ def _cmd_signal(args):
     return 0, (line + "\n" for line in csv_lines(cells, [cells.values()]))
 
 
-_SWEEP_HEADER = (
-    "eta", "t", "t_xy", "lam1", "lam2", "lam3", "lam4", "feasible", "fidelity",
-)
-#: the most rows a sweep chunk holds, so its text is bounded at any --resolution
-_PIECE_ROWS = 1024
-
-
-def _sweep_blocks(table, resolution: int):
-    """(pool, index) blocks over the (eta, t, t_xy) grid, one per piece.
-
-    A piece is a rectangle of one eta block: whole t_xy rows of as many
-    t as fit in `_PIECE_ROWS` rows, or, when one t row is longer, a
-    `_PIECE_ROWS` slice of it.  Its pool holds each word once: per cell
-    the "t, t_xy" pair and the central eigenvalue pair, per t the outer
-    pair, then the eta cell that opens a row and the four words that
-    end one (each flag, the fidelity, and the next row's eta or the
-    close).  Pair and central words, which eta does not move, are made
-    once per rectangle into one slot; the next eta block reuses it when
-    its piece is the same rectangle, which holds for every block when an
-    eta block is one piece (R <= 32 at 1024 rows) and for none otherwise.
-    A row's index is its pair, its four levels in descending order, and
-    its end: each pair is sorted, so a compare network merges them, and
-    `is_positive` on the lower low picks the end.  The axis text is made
-    per piece as well, so at any R memory is one piece's pool, index and
-    text beside the float axis.
-    """
-    axis = np.linspace(-1.0, 1.0, resolution)
-    n_t = max(1, _PIECE_ROWS // resolution)
-    width = min(resolution, _PIECE_ROWS)
-    slot = None
-    for k in range(resolution):
-        eta = axis[k]
-        eta_text, fidelity = table.floats((eta, (1.0 + eta) / 2.0))
-        first, ends = table.row_frame(eta_text, fidelity)
-        frame = [first, *ends[0], *ends[1]]
-        for t_lo in range(0, resolution, n_t):
-            t = axis[t_lo:t_lo + n_t, None]
-            for xy_lo in range(0, resolution, width):
-                if slot != (t_lo, xy_lo):
-                    t_xy = axis[xy_lo:xy_lo + width]
-                    m, w, n = len(t), len(t_xy), len(t) * len(t_xy)
-                    b1, b2 = _central_levels(t, t_xy)
-                    # pool: pair words, central high, central low, outer high, outer low, frame
-                    xy_cells = table.cells(t_xy)
-                    pairs = [a + b for a in table.cells(t) for b in xy_cells]
-                    head = np.array(pairs + table.cells((b1, b2)), dtype=object)
-                    cell = np.arange(n).reshape(m, w)
-                    b1_word, b2_word = cell + n, cell + 2 * n
-                    a1_word = 3 * n + np.arange(m)[:, None]
-                    a2_word, lead = a1_word + m, 3 * n + 2 * m
-                    end_word = lead + 1 + np.arange(4).reshape(2, 2)  # of ends[close][flag]
-                    slot = (t_lo, xy_lo)
-                outer = _outer_levels(eta, t)
-                a1, a2 = np.maximum(*outer), np.minimum(*outer)
-                pool = np.concatenate((head, np.array(table.cells((a1, a2)) + frame, dtype=object)))
-                # merge the outer pair a1 >= a2 with the central b1 >= b2: the
-                # top is the higher high, the bottom the lower low, the rest between
-                hi, lo = b1 > a1, b2 < a2
-                mid_hi, mid_lo = np.where(hi, a1_word, b1_word), np.where(lo, a2_word, b2_word)
-                swap = np.maximum(a2, b2) > np.minimum(a1, b1)
-                flag = is_positive(np.minimum(a2, b2)).astype(np.intp)
-                index = np.empty(6 * n + 1, dtype=np.intp)
-                index[0] = lead
-                rows = index[1:].reshape(m, w, 6)
-                rows[..., 0] = cell
-                rows[..., 1] = np.where(hi, b1_word, a1_word)
-                rows[..., 2] = np.where(swap, mid_lo, mid_hi)
-                rows[..., 3] = np.where(swap, mid_hi, mid_lo)
-                rows[..., 4] = np.where(lo, b2_word, a2_word)
-                rows[..., 5] = end_word[0][flag]
-                rows[-1, -1, 5] = end_word[1][flag[-1, -1]]  # the last row closes the block
-                yield pool, index
-
-
 def _cmd_sweep(args):
-    table = Table(args.format, _SWEEP_HEADER, {"command": "sweep", "resolution": args.resolution})
-    return 0, table.chunks(_sweep_blocks(table, args.resolution))
+    table = Table(args.format, SWEEP_HEADER, {"command": "sweep", "resolution": args.resolution})
+    return 0, table.chunks(sweep_blocks(table, args.resolution))
 
 
 def _add_params_flags(sub):

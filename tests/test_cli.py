@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clonebound import cli, serialize
+from clonebound import cli, landscape, serialize
 from clonebound.bounds import MAX_RESOLUTION, feasible
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import STATE_TOL, is_positive
@@ -308,11 +308,21 @@ class TestSweep:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_formats_each_level_once(self, tmp_path, monkeypatch, fmt):
-        # the four eigenvalue columns hold ~4 R^2 distinct values among
-        # their 4 R^3 cells: the outer pair per (eta, t), the central pair
-        # per (t, t_xy); formatting every cell would be ~55k values here
+    @pytest.mark.parametrize("fmt, size, digest", [
+        ("csv", 1332299, "a2c26f2b2297d34d299218b073533ea6756bc503f965de431e9d165ccc1545a3"),
+        ("json", 2341518, "9768195e36d5c03aea0d4feeb0bb6a2d63d4bd279c906fc956f34f31318d00c9"),
+    ], ids=["csv", "json"])
+    def test_one_batch_output_is_pinned(self, capsys, fmt, size, digest):
+        # the landscape workload's largest sweep: all 25 eta blocks of
+        # 25 * 25 rows are one batch, written in 16 pieces
+        status, out, _ = run(capsys, ["sweep", "--resolution", "25", "--format", fmt])
+        assert status == 0
+        data = out.encode("utf-8")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @staticmethod
+    def values_formatted(tmp_path, monkeypatch, resolution, fmt):
         formatted = []
 
         def counting(values, digits):
@@ -321,16 +331,32 @@ class TestSweep:
             return cells
 
         monkeypatch.setattr(serialize, "format_floats", counting)
-        resolution = 24
         argv = ["sweep", "--resolution", str(resolution), "--format", fmt,
                 "--out", str(tmp_path / "sweep")]
         assert cli.main(argv) == 0
-        assert sum(formatted) <= 5 * resolution ** 2
+        return sum(formatted)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_formats_each_level_once(self, tmp_path, monkeypatch, fmt):
+        # the four eigenvalue columns hold ~4 R^2 distinct values among
+        # their 4 R^3 cells: the outer pair per (eta, t), the central pair
+        # per (t, t_xy); formatting every cell would be ~55k values here
+        resolution = 24
+        assert self.values_formatted(tmp_path, monkeypatch, resolution, fmt) <= 5 * resolution ** 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("resolution", [33, 48])
+    def test_formats_each_level_once_past_one_piece(self, tmp_path, monkeypatch, resolution, fmt):
+        # an eta block outgrows a 1024-row piece past R = 32, but up to
+        # R = 128 the plane's central levels are still formatted once per
+        # sweep and the outer pair once per batch of whole eta blocks
+        assert self.values_formatted(tmp_path, monkeypatch, resolution, fmt) <= 3 * resolution ** 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_is_one_row(self, tmp_path, monkeypatch, fmt):
-        # R = 6 writes two t rows per piece and R = 12 one, 12 rows each
-        monkeypatch.setattr(cli, "_PIECE_ROWS", 12)
+        # batches of at most 16 * 12 cells: R = 6 holds five eta blocks and
+        # R = 12 one, both written in pieces of 12 rows
+        monkeypatch.setattr(landscape, "_PIECE_ROWS", 12)
 
         def peak(resolution):
             argv = ["sweep", "--resolution", str(resolution), "--format", fmt,
@@ -352,23 +378,39 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_pieces_join_into_the_same_bytes(self, capsys, monkeypatch, fmt):
-        # at R = 5: 2 cuts each t row into 2, 2, 1; 10 takes two t rows and
-        # then the one left; 25 takes the whole eta block; at R = 6: 4 cuts
-        # each t row into 4 and 2, and 7 takes one whole t row
-        for resolution, piece_rows in ((5, 2), (5, 10), (5, 25), (6, 4), (6, 7)):
-            monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
+        # a batch holds at most 16 * piece_rows cells.  At R = 5: 2 makes
+        # batches of one eta block, 4 batches of 2, 2 and 1, 10 and 25 one
+        # batch of all 5, cut into pieces that straddle or match the eta
+        # blocks; 1 outgrows the plane and cuts each t row into single
+        # cells.  At R = 6: 4 makes batches of one eta block, 7 of 3 and 3,
+        # 9 of 4 and 2; 2 cuts each t row into 2, 2, 2.  At R = 7: 3 cuts
+        # each t row into 3, 3, 1
+        for resolution, piece_rows in ((5, 1), (5, 2), (5, 4), (5, 10), (5, 25),
+                                       (6, 2), (6, 4), (6, 7), (6, 9), (7, 3)):
+            monkeypatch.setattr(landscape, "_PIECE_ROWS", piece_rows)
             argv = ["sweep", "--resolution", str(resolution), "--format", fmt]
             status, out, _ = run(capsys, argv)
             assert status == 0
             assert out == sweep_output(resolution, fmt), piece_rows
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rectangles_of_whole_rows_join_into_the_same_bytes(self, capsys, monkeypatch, fmt):
+        # at 66 rows a piece, the 33 * 33 plane outgrows a 1056-cell batch,
+        # so each eta block is cut into rectangles of two whole t rows and
+        # a last one of one; the default layout is pinned above
+        argv = ["sweep", "--resolution", "33", "--format", fmt]
+        _, whole, _ = run(capsys, argv)
+        monkeypatch.setattr(landscape, "_PIECE_ROWS", 66)
+        _, rectangles, _ = run(capsys, argv)
+        assert rectangles == whole
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_is_flat_in_resolution(self, fmt):
         # one (eta, t) block at R = 20001 is 20001 rows of text; a piece is
         # at most `_PIECE_ROWS` of them, beside the 20001 axis cells
         def chunks(resolution):
-            table = Table(fmt, cli._SWEEP_HEADER, {"command": "sweep"})
-            return table.chunks(cli._sweep_blocks(table, resolution))
+            table = Table(fmt, landscape.SWEEP_HEADER, {"command": "sweep"})
+            return table.chunks(landscape.sweep_blocks(table, resolution))
 
         tracemalloc.start()
         try:
@@ -378,22 +420,37 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        # the landscape's and the default sweep's eta blocks are one piece each
-        assert sum(1 for _ in chunks(25)) == 25 + 2
+        # the landscape's largest sweep is one batch of 25**3 rows, 16 pieces
+        assert sum(1 for _ in chunks(25)) == 16 + 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_resolution(self, fmt):
         # at the largest resolution the first 8 chunks hold one piece of
         # text and the 0.8 MB float axis; no per-sweep text grows with R
-        table = Table(fmt, cli._SWEEP_HEADER, {"command": "sweep"})
+        table = Table(fmt, landscape.SWEEP_HEADER, {"command": "sweep"})
         tracemalloc.start()
         try:
-            for _ in zip(range(8), table.chunks(cli._sweep_blocks(table, MAX_RESOLUTION))):
+            for _ in zip(range(8), table.chunks(landscape.sweep_blocks(table, MAX_RESOLUTION))):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_at_the_batch_cap(self, fmt):
+        # R = 128 is the largest plane a batch holds (2**14 cells): its pair
+        # and central words stay for the whole sweep, beside a batch's pool
+        # and index; 40 chunks cross from the first batch to the third
+        table = Table(fmt, landscape.SWEEP_HEADER, {"command": "sweep"})
+        tracemalloc.start()
+        try:
+            for _ in zip(range(40), table.chunks(landscape.sweep_blocks(table, 128))):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestOutputPlumbing:
