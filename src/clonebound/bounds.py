@@ -7,15 +7,12 @@ Two independent routes to the same number:
   central block demands 1 - t - 2 sqrt(t^2 + t_xy^2) >= 0, and the
   ceiling is maximized on that feasible set at t_xy = 0, t = 1/3.
 * `max_eta_grid` knows none of that except the eta ceiling itself: it
-  walks t down from +1 over a grid of [-1, 1], builds the output-matrix
-  entries at the ceiling for every grid t_xy, and stops at the first
-  row with a point whose four eigenvalues pass the package's one
-  positivity verdict (`pauli.is_positive`).  The ceiling grows with
-  t, so that row holds the largest feasible eta on the whole (t, t_xy)
-  grid.  What depends on t alone is worked out once per call; the
-  cells are scanned in blocks of at most 2**14, or one row when a row
-  is longer, so memory stays O(resolution).  Blocks share one entry
-  buffer, its t_xy half written once per call, and two level buffers.
+  reads the four levels off the z-frame matrix layout and walks t down
+  from +1 to the first grid row whose deciding cells, those of smallest
+  |t_xy|, pass the package's one positivity verdict (`pauli.is_positive`).
+  The ceiling grows with t, so that row holds the largest feasible eta
+  on the whole (t, t_xy) grid; why those cells decide a row is told in
+  its docstring.  Memory stays O(resolution).
 
 The grid acts as the brute-force check on the closed form, so it must
 never report a larger eta; ties between grid points resolve
@@ -36,8 +33,6 @@ from .pauli import is_positive
 
 #: the largest grid resolution accepted anywhere: one axis of it is 0.8 MB
 MAX_RESOLUTION = 100_001
-#: the most (t, t_xy) cells one numpy pass of the grid scan holds
-_GRID_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -90,27 +85,28 @@ def _row_levels(eta, t):
     return (1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0, (1.0 - t) / 4.0
 
 
-def _central_levels(block_diag, entry, upper, lower):
-    """The block's levels block_diag +- |entry|/4 into `upper`, `lower`; entry = 2t + 2i t_xy."""
-    np.multiply(np.abs(entry, out=lower), 0.25, out=lower)  # exact, so equal to / 4.0
-    return np.add(block_diag, lower, out=upper), np.subtract(block_diag, lower, out=lower)
+def _central_levels(block_diag, entry):
+    """The block's levels block_diag +- |entry|/4; entry = 2t + 2i t_xy."""
+    half_gap = np.abs(entry) * 0.25  # exact, so equal to / 4.0
+    return block_diag + half_gap, block_diag - half_gap
 
 
 def max_eta_grid(resolution: int) -> BoundResult:
-    """Brute-force scan of (t, t_xy) in [-1, 1]^2, a block of t rows at a time.
+    """Brute-force scan of (t, t_xy) in [-1, 1]^2, judged on the cells that decide each row.
 
     For each grid pair the candidate eta is its ceiling (1 + t)/2; the
     pair survives if all four matrix eigenvalues at that eta pass
-    `is_positive` (>= -1e-9).  The ceiling grows strictly with t, and
-    distinct grid t give distinct eta, so walking t down from +1 and
-    stopping at the first row with a survivor finds the largest eta on
-    the whole grid while holding a block of at most 2**14 cells, or one
-    row of `resolution` values when a row is longer.  Every survivor in
-    that row ties; ties resolve deterministically to the t_xy of
-    smallest magnitude (negative side first on exact magnitude ties),
-    tracking the true t_xy = 0 maximizer at every resolution.  The outer
-    pair is judged once per row, each cell once on the lower of its
-    central pair; `resolution` must be an integer (`operator.index`).
+    `is_positive` (>= -1e-9).  In a row of fixed t only the block's
+    lower level moves with t_xy, and it falls as |2t + 2i t_xy| grows,
+    so the row has a survivor iff its cells of smallest |t_xy| (an
+    exact-magnitude pair both kept) survive.  That assumes numpy's
+    complex `abs` is monotone in |imag| at a fixed real part, which the
+    tests check on the full plane.  The ceiling grows strictly with t,
+    so the first surviving row down from +1 holds the largest eta on
+    the grid, and its deciding cell is the tie-break's pick among the
+    row's survivors: smallest |t_xy|, negative side first, tracking the
+    true t_xy = 0 maximizer.  `resolution` must be an integer
+    (`operator.index`).
     """
     try:
         resolution = operator.index(resolution)
@@ -121,34 +117,26 @@ def max_eta_grid(resolution: int) -> BoundResult:
         raise InvalidResolutionError(
             f"grid resolution must be in [3, {MAX_RESOLUTION}], got {resolution}")
     axis = np.linspace(-1.0, 1.0, resolution)
-    descending = axis[::-1, None]
-    d0, d3, block_diag = _row_levels((1.0 + descending) / 2.0, descending)
-    row_ok = is_positive(d0) & is_positive(d3)
+    size = np.abs(axis)
+    columns = axis[size == size.min()]  # every exact tie, the negative side first
+    del size
+    t = axis[::-1, None]
+    d0, d3, block_diag = _row_levels((1.0 + t) / 2.0, t)
+    ok = is_positive(d0) & is_positive(d3)
     del d0, d3  # only their verdict is kept
-    two_t = 2.0 * descending
-    rows = min(resolution, max(1, _GRID_CELLS // resolution))
-    entry = np.empty((rows, resolution), dtype=complex)
-    entry.imag = 2.0 * axis
-    upper, lower = np.empty(entry.shape), np.empty(entry.shape)
-    for lo in range(0, resolution, rows):
-        n = min(rows, resolution - lo)
-        entry[:n].real = two_t[lo:lo + n]
-        ok = is_positive(np.minimum(*_central_levels(
-            block_diag[lo:lo + n], entry[:n], upper[:n], lower[:n]), out=lower[:n]))
-        if not ok.any():
-            continue
-        hits = ok.any(axis=1) & row_ok[lo:lo + n, 0]
-        if hits.any():
-            row = hits.argmax()  # the first, at the largest t
-            t = descending[lo + row, 0]
-            eta_max = float((1.0 + t) / 2.0)
-            t_xy = axis[ok[row]]
-            pick = np.lexsort((t_xy, np.abs(t_xy)))[0]
-            return BoundResult(
-                eta_max=eta_max,
-                t_star=float(t),
-                t_xy_star=float(t_xy[pick]),
-                fidelity_max=(1.0 + eta_max) / 2.0,
-                method="grid",
-            )
-    raise RuntimeError("no feasible grid point; the domain is wrong")
+    entry = np.empty((resolution, len(columns)), dtype=complex)
+    entry.real, entry.imag = 2.0 * t, 2.0 * columns
+    for level in _central_levels(block_diag, entry):
+        ok = ok & is_positive(level)
+    hits = ok.any(axis=1)
+    row = hits.argmax()  # the first, at the largest t
+    if not hits[row]:
+        raise RuntimeError("no feasible grid point; the domain is wrong")
+    eta_max = float((1.0 + t[row, 0]) / 2.0)
+    return BoundResult(
+        eta_max=eta_max,
+        t_star=float(t[row, 0]),
+        t_xy_star=float(columns[ok[row]][0]),
+        fidelity_max=(1.0 + eta_max) / 2.0,
+        method="grid",
+    )

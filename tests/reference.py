@@ -12,12 +12,15 @@ body as numpy array operations over a whole stack, the oracle its
 per-row Python float body must match bit for bit.
 `no_signaling_residual_svd` takes the no-signaling distance from the
 SU(2) outputs and a singular value decomposition, not a 4x4 spectrum.
+`row_walk_grid` is `bounds.max_eta_grid` judged on every cell, a row at
+a time, from the same matrix-layout levels.
 """
 
 import math
 
 import numpy as np
 
+from clonebound.bounds import BoundResult, _central_levels, _row_levels
 from clonebound.family import ClonerParams, positivity_eigenvalues
 from clonebound.pauli import STATE_TOL, _require_one_qubit_state, is_positive
 from clonebound.serialize import csv_lines, dump_json
@@ -185,3 +188,28 @@ def sweep_output(resolution, fmt):
         return dump_json({"command": "sweep", "resolution": resolution,
                           "header": list(SWEEP_HEADER), "rows": [list(r) for r in rows]})
     return "\n".join(csv_lines(SWEEP_HEADER, rows)) + "\n"
+
+
+def row_walk_grid(resolution):
+    """`max_eta_grid` on every cell: a row at a time down from t = +1, O(resolution) memory.
+
+    Each row judges all four levels of every t_xy and the walk stops at
+    the first row with a survivor, picking the smallest |t_xy|, negative
+    side first.  Unlike the library it assumes nothing about which cells
+    decide a row.
+    """
+    axis = np.linspace(-1.0, 1.0, resolution)
+    entry = np.empty(resolution, dtype=complex)
+    entry.imag = 2.0 * axis
+    for t in axis[::-1]:
+        d0, d3, block_diag = _row_levels((1.0 + t) / 2.0, t)
+        entry.real = 2.0 * t
+        upper, lower = _central_levels(block_diag, entry)
+        ok = is_positive(d0) & is_positive(d3) & is_positive(upper) & is_positive(lower)
+        if ok.any():
+            t_xy = axis[ok]
+            eta = float((1.0 + t) / 2.0)
+            return BoundResult(eta_max=eta, t_star=float(t),
+                               t_xy_star=float(t_xy[np.lexsort((t_xy, np.abs(t_xy)))[0]]),
+                               fidelity_max=(1.0 + eta) / 2.0, method="grid")
+    raise RuntimeError("no feasible grid point")

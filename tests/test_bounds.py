@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clonebound import bounds
+from clonebound import bounds, landscape
 from clonebound.bounds import (
     BoundResult,
     _central_levels,
@@ -17,6 +17,8 @@ from clonebound.bounds import (
 from clonebound.errors import InvalidResolutionError
 from clonebound.family import ClonerParams
 from clonebound.pauli import is_positive
+from clonebound.serialize import Table
+from reference import row_walk_grid
 
 
 def grid_peak_bytes(resolution):
@@ -29,17 +31,30 @@ def grid_peak_bytes(resolution):
         tracemalloc.stop()
 
 
-def full_plane_grid(resolution):
-    """Reference: the argmax over the whole (t, t_xy) plane, same tie-break."""
+#: every R whose whole (t, t_xy) plane the tests judge against the scan
+PLANE_RESOLUTIONS = [*range(3, 121), 127, 128, 129, 201, 400, 401]
+
+
+def layout_verdict(eta, t, t_xy):
+    """Every cell's verdict on its four matrix-layout levels, broadcast over the inputs."""
+    d0, d3, block_diag = _row_levels(eta, t)
+    ok = is_positive(d0) & is_positive(d3)
+    for lam in _central_levels(block_diag, 2.0 * t + 2.0j * t_xy):
+        ok = ok & is_positive(lam)
+    return ok
+
+
+def full_plane(resolution):
+    """The axis, the eta ceiling and every cell's verdict, t along rows."""
     axis = np.linspace(-1.0, 1.0, resolution)
     t, t_xy = np.meshgrid(axis, axis, indexing="ij")
     eta = (1.0 + t) / 2.0
-    d0, d3, block_diag = _row_levels(eta, t)
-    entry = 2.0 * t + 2.0j * t_xy
-    central = _central_levels(block_diag, entry, np.empty(t.shape), np.empty(t.shape))
-    ok = np.ones_like(t, dtype=bool)
-    for lam in (d0, d3, *central):
-        ok &= is_positive(lam)
+    return axis, eta, layout_verdict(eta, t, t_xy)
+
+
+def full_plane_grid(resolution):
+    """Reference: the argmax over the whole (t, t_xy) plane, same tie-break."""
+    axis, eta, ok = full_plane(resolution)
     best_eta = float(np.max(eta[ok]))
     hit_t, hit_xy = np.where(ok & (eta == best_eta))
     txy_vals = axis[hit_xy]
@@ -165,61 +180,60 @@ class TestGrid:
         assert res.fidelity_max == (1.0 + res.eta_max) / 2.0
 
     def test_row_scan_matches_full_plane(self):
-        # repr tells -0.0 from 0.0 and prints every float exactly; at 127-129
-        # the 2**14-cell block passes the whole plane and the row cap binds
-        for resolution in [*range(3, 121), 127, 128, 129, 201, 400, 401]:
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        for resolution in PLANE_RESOLUTIONS:
             assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-    def test_blocks_of_rows_match_full_plane(self, monkeypatch, rows):
-        # the optimum row falls at every offset within a block of `rows`
+    def test_deciding_columns_decide_each_row(self):
+        # the fact the scan rests on, cell by cell: a row has a survivor iff
+        # a column of smallest |t_xy| survives, and then every such column
+        # does; it needs complex abs to be monotone in |imag|
+        for resolution in PLANE_RESOLUTIONS:
+            axis, _, ok = full_plane(resolution)
+            size = np.abs(axis)
+            deciding = ok[:, size == size.min()]
+            assert 1 <= deciding.shape[1] <= 2
+            assert (ok.any(axis=1) == deciding.any(axis=1)).all()
+            assert deciding[ok.any(axis=1)].all()
+
+    def test_row_walk_matches_full_plane(self):
+        # the every-cell row walk that pins the large R below is itself exact
         for resolution in [*range(3, 61), 201]:
-            monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
-            assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
+            assert repr(row_walk_grid(resolution)) == repr(full_plane_grid(resolution))
 
-    @pytest.mark.parametrize("rows", [1, 3, 7])
-    def test_every_block_sees_the_one_line_entry(self, monkeypatch, rows):
-        # the reused buffer holds 2t + 2i t_xy bit for bit in every block
-        # scanned, so its t_xy half survives the blocks before; the blocks
-        # follow each other down the t axis
-        seen = []
+    @pytest.mark.parametrize("resolution", [2001, 2500, 4001, 10007])
+    def test_matches_every_cell_row_walk(self, resolution):
+        assert repr(max_eta_grid(resolution)) == repr(row_walk_grid(resolution))
 
-        def spy(block_diag, entry, upper, lower):
-            seen.append(entry.copy())
-            return _central_levels(block_diag, entry, upper, lower)
-
-        resolution = 41
-        monkeypatch.setattr(bounds, "_central_levels", spy)
-        monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
-        max_eta_grid(resolution)
+    @pytest.mark.parametrize("resolution", [*range(3, 34), 64])
+    def test_sweep_flags_match_the_layout_verdict(self, resolution):
+        # two routes to one verdict on every (eta, t, t_xy) cell: the sweep's
+        # flag from `family`'s levels and the grid's from the matrix layout
+        table = Table("csv", landscape.SWEEP_HEADER, {"command": "sweep"})
+        lines = "".join(table.chunks(landscape.sweep_blocks(table, resolution))).splitlines()
+        flags = np.array([line.split(",")[7] for line in lines[1:]]) == "1"
+        assert flags.any() and not flags.all()
         axis = np.linspace(-1.0, 1.0, resolution)
-        descending = axis[::-1, None]
-        assert len(seen) > 1
-        lo = 0
-        for entry in seen:
-            t = descending[lo:lo + len(entry)]
-            assert entry.tobytes() == (2.0 * t + 2.0j * axis).tobytes()
-            lo += len(entry)
+        ok = layout_verdict(axis[:, None, None], axis[:, None], axis)
+        assert flags.tolist() == ok.ravel().tolist()
 
-    @pytest.mark.parametrize("rows", [1, 3, 7])
-    def test_row_levels_once_per_call(self, monkeypatch, rows):
-        # the per-row part covers the whole axis in one call, however
-        # many blocks the scan goes through
-        calls = collections.Counter()
+    @pytest.mark.parametrize("calls", [1, 3, 7])
+    def test_row_levels_once_per_call(self, monkeypatch, calls):
+        # each of `calls` calls in a row works out the row levels over the
+        # whole t axis once and the deciding columns' central levels once
+        counts = collections.Counter()
 
         def counted(part):
             def spy(*args):
-                calls[part.__name__] += 1
+                counts[part.__name__] += 1
                 return part(*args)
             return spy
 
         monkeypatch.setattr(bounds, "_row_levels", counted(_row_levels))
         monkeypatch.setattr(bounds, "_central_levels", counted(_central_levels))
-        for n, resolution in enumerate((41, 101), start=1):
-            monkeypatch.setattr(bounds, "_GRID_CELLS", rows * resolution)
-            max_eta_grid(resolution)
-            assert calls["_row_levels"] == n
-        assert calls["_central_levels"] > 2
+        for n in range(1, calls + 1):
+            max_eta_grid(41 if n % 2 else 100)
+            assert counts["_row_levels"] == counts["_central_levels"] == n
 
     def test_memory_is_one_row(self):
         # the whole 1001 x 1001 plane would need ~69 MiB
@@ -229,7 +243,11 @@ class TestGrid:
         # the default --resolution, whose peak the README gives
         assert grid_peak_bytes(2001) < 2 ** 20
 
+    def test_memory_at_the_largest_resolution(self):
+        # the whole axis and a few columns of it, ~5.4 MiB
+        assert grid_peak_bytes(bounds.MAX_RESOLUTION) < 6 * 2 ** 20
+
     def test_block_never_outgrows_the_plane(self):
-        # a block of 2**14 cells at R = 3 would be 5461 rows, ~260 KiB
-        # of complex entry, for a plane of 9 cells
+        # the scan holds a few columns of R; a fixed block of 2**14 complex
+        # cells would be ~260 KiB at R = 3, for a plane of 9 cells
         assert grid_peak_bytes(3) < 16 * 2 ** 10

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from clonebound import cli, landscape, serialize
-from clonebound.bounds import MAX_RESOLUTION, feasible
+from clonebound.bounds import MAX_RESOLUTION, feasible, max_eta_closed_form
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import STATE_TOL, is_positive
 from clonebound.serialize import Table, dump_json, format_floats
@@ -122,6 +122,14 @@ class TestOptimize:
 
     def test_undersized_resolution_is_usage_error(self, capsys):
         usage_error(capsys, ["optimize", "--resolution", "2"])
+
+    def test_largest_resolution(self, capsys):
+        status, out, _ = run(capsys, ["optimize", "--method", "grid",
+                                      "--resolution", str(MAX_RESOLUTION)])
+        assert status == 0
+        eta_max = json.loads(out)["grid"]["eta_max"]
+        assert eta_max <= max_eta_closed_form().eta_max
+        assert abs(eta_max - 2 / 3) <= 2.0 / (MAX_RESOLUTION - 1)
 
 
 class TestClone:
