@@ -11,25 +11,20 @@ import sys
 import numpy as np
 
 from clonebound.family import (
-    CANONICAL_AXIS_PAIRS,
     ClonerParams,
     GeneralClonerParams,
     axial_covariance_residual,
-    covariance_constraint_residual,
-    no_signaling_residual,
+    check_point,
     output_state,
-    positivity_eigenvalues,
 )
 from clonebound.pauli import pauli_decompose
 
 
 def report(tag, params):
-    cov = covariance_constraint_residual(params.as_matrix())
-    sig = max(no_signaling_residual(params, a, b) for a, b in CANONICAL_AXIS_PAIRS)
+    checks = check_point(params)
     print(f"{tag}:")
-    print(f"  structure residual    = {cov:.3e}")
-    print(f"  opposite-mixture gap  = {sig:.3e}")
-    return cov, sig
+    print(f"  structure residual    = {checks['covariance_residual']:.3e}")
+    print(f"  opposite-mixture gap  = {checks['no_signaling_residual']:.3e}")
 
 
 def main():
@@ -47,7 +42,7 @@ def main():
     axial = np.array([[s, t_xy, 0.0], [-t_xy, s, 0.0], [0.0, 0.0, raw[2, 2]]])
     print("\nafter imposing the rotational structure:")
     print(np.round(axial, 6))
-    cov, sig = report("  axial", GeneralClonerParams(eta=0.3, t=axial))
+    report("  axial", GeneralClonerParams(eta=0.3, t=axial))
     print(f"  (structure passes, but the anisotropic diagonal still "
           f"signals: |t_zz - t_xx| = {abs(axial[2, 2] - s):.6f})")
 
@@ -61,9 +56,9 @@ def main():
     # values are allowed
     print("\npositivity across a few eta at t = 1/3, t_xy = 0:")
     for eta in (0.0, 1 / 3, 2 / 3, 0.7):
-        lams = positivity_eigenvalues(ClonerParams(eta, 1 / 3, 0.0))
-        flag = "ok " if lams.min() >= -1e-12 else "BAD"
-        print(f"  eta = {eta:.4f}  min eig = {lams.min():+.6f}  {flag}")
+        checks = check_point(ClonerParams(eta, 1 / 3, 0.0))
+        flag = "ok " if checks["positivity_ok"] else "BAD"
+        print(f"  eta = {eta:.4f}  min eig = {checks['min_eigenvalue']:+.6f}  {flag}")
 
     # the axial commutator sees the same symmetry operationally
     state = output_state(family, (0, 0, 1))

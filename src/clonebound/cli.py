@@ -8,7 +8,9 @@ Subcommands:
 
     verify     run the constraint suite (covariance structure, axial
                invariance, opposite-mixture identity, positivity) on a
-               parameter point; exit 0 iff every check passes
+               parameter point and print `family.check_point`'s report,
+               where the verdict and its tolerance live; exit 0 iff
+               every check passes
     optimize   report the maximal shrink factor, analytic and/or grid
     clone      run the universal cloner on a pure input direction
     signal     analytic + Monte-Carlo axis-distinguishing experiment
@@ -43,26 +45,9 @@ import numpy as np
 from .bounds import MAX_RESOLUTION, max_eta_closed_form, max_eta_grid
 from .buzek_hillery import bh_clone
 from .errors import InvalidBlochError
-from .family import (
-    CANONICAL_AXIS_PAIRS,
-    ClonerParams,
-    GeneralClonerParams,
-    _require_unit_axis,
-    axial_covariance_residual,
-    covariance_constraint_residual,
-    min_output_eigenvalue,
-    no_signaling_residual,
-    template_state_z,
-)
+from .family import ClonerParams, GeneralClonerParams, check_point, require_unit_axis
 from .landscape import SWEEP_HEADER, sweep_blocks
-from .pauli import (
-    STATE_TOL,
-    bloch_to_density,
-    is_positive,
-    overlap_fidelity,
-    partial_trace,
-    pauli_decompose,
-)
+from .pauli import bloch_to_density, overlap_fidelity, partial_trace, pauli_decompose
 from .serialize import Table, csv_lines, dump_json
 from .signaling import MAX_SHOTS, monte_carlo_signal
 
@@ -105,7 +90,7 @@ def _vector3(text: str, component=_number) -> np.ndarray:
 
 def _unit_axis(text: str) -> np.ndarray:
     try:
-        return _require_unit_axis(_vector3(text))
+        return require_unit_axis(_vector3(text))
     except InvalidBlochError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -137,31 +122,7 @@ def _params_from_args(args) -> object:
 
 def _cmd_verify(args):
     params = _params_from_args(args)
-    covariance = covariance_constraint_residual(params.as_matrix())
-    axial = axial_covariance_residual(template_state_z(params), (0.0, 0.0, 1.0))
-    axes_a, axes_b = np.swapaxes(CANONICAL_AXIS_PAIRS, 0, 1)
-    no_signal = float(no_signaling_residual(params, axes_a, axes_b).max())
-    min_eig = min_output_eigenvalue(params)
-    # one round-off allowance, STATE_TOL, for the residuals and the
-    # eigenvalue floor; boundary points pass when given as fractions
-    checks = {
-        "covariance_ok": covariance < STATE_TOL,
-        "axial_ok": axial < STATE_TOL,
-        "no_signaling_ok": no_signal < STATE_TOL,
-        "positivity_ok": is_positive(min_eig),
-    }
-    report = {
-        "command": "verify",
-        **params.to_json_dict(),
-        "covariance_residual": covariance,
-        "axial_residual": axial,
-        "no_signaling_residual": no_signal,
-        "min_eigenvalue": min_eig,
-        "residual_threshold": STATE_TOL,
-        "eigenvalue_floor": -STATE_TOL,
-        **checks,
-        "pass": all(checks.values()),
-    }
+    report = {"command": "verify", **params.to_json_dict(), **check_point(params)}
     return (0 if report["pass"] else 1), [dump_json(report)]
 
 

@@ -29,10 +29,14 @@ exactly, leaving D, the co-rotated R t R^T at +-a minus those at +-b: real
 3x3, and real symmetric as a 4x4 in the magic basis (Hill & Wootters 1997).
 
 Axes come one, shape (3,), or stacked, shape (N, 3), with one result
-per row.  One rule in Python floats decides every row, alone or in a
-stack: |hypot(row) - 1| <= STATE_TOL.  Public functions validate axes
-once; the private builders they call trust them.  A call's few
-rotations are built in Python floats, free of numpy's per-call cost.
+per row.  One rule in Python floats, `require_unit_axis`, decides every
+row, alone or in a stack: |hypot(row) - 1| <= STATE_TOL.  Public
+functions validate axes once; the private builders they call trust
+them.  A call's few rotations are built in Python floats, free of
+numpy's per-call cost.
+
+`check_point` is the one place the four checks and their tolerance
+become a verdict; `clone-bound verify` prints its report.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidBlochError
-from .pauli import BASIS, STATE_TOL, _printed_length
+from .pauli import BASIS, STATE_TOL, _printed_length, is_positive
 
 #: sigma_j (x) I + I (x) sigma_j: the Bloch operators of both clones at once
 _BLOCH_PAIR = BASIS[1:, 0] + BASIS[0, 1:]
@@ -149,7 +153,7 @@ class PositivityEigenvalues:
         return self.lam4
 
 
-def _require_unit_axis(m, what="direction"):
+def require_unit_axis(m, what="direction"):
     """Unit 3-vectors (3,) or (N, 3), one rule for every row: |hypot(row) - 1| <= STATE_TOL."""
     try:
         vec = np.asarray(m, dtype=float)
@@ -172,8 +176,8 @@ def _require_unit_axis(m, what="direction"):
 
 
 def _require_one_axis(m, what="direction"):
-    """`_require_unit_axis` for arguments that take one direction, not a stack."""
-    vec = _require_unit_axis(m, what)
+    """`require_unit_axis` for arguments that take one direction, not a stack."""
+    vec = require_unit_axis(m, what)
     if vec.ndim != 1:
         raise InvalidBlochError(f"{what} must be one 3-vector, got shape {vec.shape}")
     return vec
@@ -193,7 +197,7 @@ def bloch_rotation_z_to(m) -> np.ndarray:
     m = zhat gives the identity and m = -zhat a half turn about xhat.
     m of shape (3,) gives one (3, 3) matrix, a stack (N, 3) gives (N, 3, 3).
     """
-    return _rotations_z_to(_require_unit_axis(m))
+    return _rotations_z_to(require_unit_axis(m))
 
 
 def _rotations_z_to(axes):
@@ -232,7 +236,7 @@ def output_state(params, m) -> np.ndarray:
     order of the z-frame closed form in `tests/reference.py`, so that at
     m = zhat the result matches it bit for bit.
     """
-    axes = _require_unit_axis(m)
+    axes = require_unit_axis(m)
     # one axis is a stack of one, so every row takes the same matmul path
     rot = _rotations_z_to(axes.reshape(-1, 3))
     return _assemble(params, rot).reshape(axes.shape[:-1] + (4, 4))
@@ -306,8 +310,8 @@ def no_signaling_residual(params, axis_a, axis_b):
     constrained family point and every axis pair.  Axes of shape (3,)
     give a float; stacks (N, 3) give one value per pair, shape (N,).
     """
-    a = _require_unit_axis(axis_a, "axis_a")
-    b = _require_unit_axis(axis_b, "axis_b")
+    a = require_unit_axis(axis_a, "axis_a")
+    b = require_unit_axis(axis_b, "axis_b")
     if a.shape != b.shape:
         raise InvalidBlochError(f"axis_a and axis_b differ in shape: {a.shape} vs {b.shape}")
     distance = _signal_distance(_opposite_difference(params, a, b)[0])
@@ -359,6 +363,30 @@ def positivity_eigenvalues(params: ClonerParams) -> PositivityEigenvalues:
     """
     levels = (*_outer_levels(params.eta, params.t), *_central_levels(params.t, params.t_xy))
     return PositivityEigenvalues(*sorted(map(float, levels), reverse=True))
+
+
+def check_point(params) -> dict:
+    """The constraint suite on a point of either type: the report `clone-bound verify` prints.
+
+    Covariance structure, axial invariance about z, the opposite-mixture
+    identity on `CANONICAL_AXIS_PAIRS` and positivity of the shared
+    spectrum.  STATE_TOL is the one round-off allowance: a residual
+    passes below it and the lowest eigenvalue at or above -STATE_TOL
+    (`is_positive`), so boundary points pass when given as fractions.
+    """
+    axes_a, axes_b = np.swapaxes(CANONICAL_AXIS_PAIRS, 0, 1)
+    report = {
+        "covariance_residual": covariance_constraint_residual(params.as_matrix()),
+        "axial_residual": axial_covariance_residual(template_state_z(params), (0.0, 0.0, 1.0)),
+        "no_signaling_residual": float(no_signaling_residual(params, axes_a, axes_b).max()),
+        "min_eigenvalue": min_output_eigenvalue(params),
+        "residual_threshold": STATE_TOL,
+        "eigenvalue_floor": -STATE_TOL,
+    }
+    checks = {f"{name}_ok": report[f"{name}_residual"] < STATE_TOL
+              for name in ("covariance", "axial", "no_signaling")}
+    checks["positivity_ok"] = is_positive(report["min_eigenvalue"])
+    return {**report, **checks, "pass": all(checks.values())}
 
 
 def clone_fidelity(params) -> float:

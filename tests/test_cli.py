@@ -19,7 +19,7 @@ import pytest
 
 from clonebound import cli, landscape, serialize
 from clonebound.bounds import MAX_RESOLUTION, feasible, max_eta_closed_form
-from clonebound.family import ClonerParams, GeneralClonerParams
+from clonebound.family import ClonerParams, GeneralClonerParams, check_point
 from clonebound.pauli import STATE_TOL, is_positive
 from clonebound.serialize import Table, dump_json, format_floats
 from clonebound.signaling import averaged_clone_output, helstrom_projector
@@ -649,6 +649,7 @@ class TestPositivityAgreement:
             "signal physical": json.loads(signal_out)["physical"],
             "feasible": feasible(params),
             "is_positive": bool(is_positive(report["min_eigenvalue"])),
+            "check_point positivity_ok": check_point(params)["positivity_ok"],
         }
         assert verdicts == dict.fromkeys(verdicts, positive)
 
@@ -678,12 +679,13 @@ class TestDeterminism:
         assert first == second
         assert first[1] != ""
 
-    #: exact stdout of reports whose fields pass through the emitter:
-    #: CSV and JSON `signal`, with and without a Monte Carlo estimate, and
-    #: the grid's optimum at the default resolution and off t = 1/3
+    #: exact exit status and stdout of reports whose fields pass through
+    #: the emitter: CSV and JSON `signal`, with and without a Monte Carlo
+    #: estimate, the grid's optimum at the default resolution and off
+    #: t = 1/3, and `verify` passing and failing for either parameter type
     PINNED = {
         "optimize": (
-            ["optimize"],
+            ["optimize"], 0,
             '{"closed_form": {"eta_max": 0.66666666666666663, "fidelity_max": 0.83333333333333326, '
             '"method": "closed_form", "t_star": 0.33333333333333331, "t_xy_star": 0}, '
             '"command": "optimize", "discrepancy": 0.00016666666666664831, '
@@ -691,33 +693,66 @@ class TestDeterminism:
             '"method": "grid", "t_star": 0.33299999999999996, "t_xy_star": 0}, '
             '"resolution": 2001}\n'),
         "optimize_grid_1000": (
-            ["optimize", "--method", "grid", "--resolution", "1000"],
+            ["optimize", "--method", "grid", "--resolution", "1000"], 0,
             '{"closed_form": null, "command": "optimize", "discrepancy": 0.0010010010010009784, '
             '"grid": {"eta_max": 0.66566566566566565, "fidelity_max": 0.83283283283283283, '
             '"method": "grid", "t_star": 0.3313313313313313, '
             '"t_xy_star": -0.0010010010010009784}, "resolution": 1000}\n'),
         "signal_csv": (
-            ["signal", "--t_diag", "0,0,1/3", "--shots", "100", "--format", "csv"],
+            ["signal", "--t_diag", "0,0,1/3", "--shots", "100", "--format", "csv"], 0,
             "axis_a_x,axis_a_y,axis_a_z,axis_b_x,axis_b_y,axis_b_z,trace_distance,"
             "helstrom_probability,mc_estimate,mc_shots,seed,physical\n"
             "0,0,1,1,0,0,0.333333333,0.583333333,0.61,100,12345,1\n"),
         "signal_csv_non_physical": (
-            ["signal", "--eta", "0.8", "--t", "1/3", "--shots", "500", "--format", "csv"],
+            ["signal", "--eta", "0.8", "--t", "1/3", "--shots", "500", "--format", "csv"], 0,
             "axis_a_x,axis_a_y,axis_a_z,axis_b_x,axis_b_y,axis_b_z,trace_distance,"
             "helstrom_probability,mc_estimate,mc_shots,seed,physical\n"
             "0,0,1,1,0,0,0,0.5,,0,12345,0\n"),
         "signal_json_non_physical": (
-            ["signal", "--eta", "0.8", "--t", "1/3", "--shots", "500"],
+            ["signal", "--eta", "0.8", "--t", "1/3", "--shots", "500"], 0,
             '{"axis_a": [0, 0, 1], "axis_b": [1, 0, 0], "command": "signal", '
             '"eta": 0.80000000000000004, "helstrom_probability": 0.5, "mc_estimate": null, '
             '"mc_shots": 0, "physical": false, "seed": 12345, "t": 0.33333333333333331, '
             '"t_xy": 0, "trace_distance": 0}\n'),
+        "verify": (
+            ["verify", "--eta", "2/3", "--t", "1/3"], 0,
+            '{"axial_ok": true, "axial_residual": 0, "command": "verify", "covariance_ok": true, '
+            '"covariance_residual": 0, "eigenvalue_floor": -1.0000000000000001e-09, '
+            '"eta": 0.66666666666666663, "min_eigenvalue": 1.3877787807814457e-17, '
+            '"no_signaling_ok": true, "no_signaling_residual": 6.219666572184064e-17, '
+            '"pass": true, "positivity_ok": true, "residual_threshold": 1.0000000000000001e-09, '
+            '"t": 0.33333333333333331, "t_xy": 0}\n'),
+        "verify_non_physical": (
+            ["verify", "--eta", "0.7", "--t", "1/3"], 1,
+            '{"axial_ok": true, "axial_residual": 0, "command": "verify", "covariance_ok": true, '
+            '"covariance_residual": 0, "eigenvalue_floor": -1.0000000000000001e-09, '
+            '"eta": 0.69999999999999996, "min_eigenvalue": -0.016666666666666649, '
+            '"no_signaling_ok": true, "no_signaling_residual": 6.219666572184064e-17, '
+            '"pass": false, "positivity_ok": false, "residual_threshold": 1.0000000000000001e-09, '
+            '"t": 0.33333333333333331, "t_xy": 0}\n'),
+        "verify_t_diag_signals": (
+            ["verify", "--t_diag", "0,0,1/3"], 1,
+            '{"axial_ok": true, "axial_residual": 0, "command": "verify", "covariance_ok": true, '
+            '"covariance_residual": 0, "eigenvalue_floor": -1.0000000000000001e-09, "eta": 0, '
+            '"min_eigenvalue": 0.16666666666666669, "no_signaling_ok": false, '
+            '"no_signaling_residual": 0.33333333333333331, "pass": false, "positivity_ok": true, '
+            '"residual_threshold": 1.0000000000000001e-09, '
+            '"t_matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0.33333333333333331]]}\n'),
+        "verify_t_diag_isotropic": (
+            ["verify", "--eta=2/3", "--t_diag=1/3,1/3,1/3"], 0,
+            '{"axial_ok": true, "axial_residual": 0, "command": "verify", "covariance_ok": true, '
+            '"covariance_residual": 0, "eigenvalue_floor": -1.0000000000000001e-09, '
+            '"eta": 0.66666666666666663, "min_eigenvalue": 1.3877787807814457e-17, '
+            '"no_signaling_ok": true, "no_signaling_residual": 6.219666572184064e-17, '
+            '"pass": true, "positivity_ok": true, "residual_threshold": 1.0000000000000001e-09, '
+            '"t_matrix": [[0.33333333333333331, 0, 0], [0, 0.33333333333333331, 0], '
+            '[0, 0, 0.33333333333333331]]}\n'),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_stdout_is_pinned(self, capsys, name):
-        argv, expected = self.PINNED[name]
-        assert run(capsys, argv) == (0, expected, "")
+        argv, status, expected = self.PINNED[name]
+        assert run(capsys, argv) == (status, expected, "")
 
     def test_clone_output_is_pinned(self, capsys):
         # a complex output matrix: every off-diagonal entry is purely imaginary

@@ -12,7 +12,6 @@ from clonebound.family import (
     _MAGIC_CORR,
     _correlation_part,
     _opposite_difference,
-    _require_unit_axis,
     _rotations_z_to,
     axial_covariance_residual,
     bloch_rotation_z_to,
@@ -21,6 +20,7 @@ from clonebound.family import (
     no_signaling_residual,
     output_state,
     positivity_eigenvalues,
+    require_unit_axis,
     template_state_z,
 )
 from clonebound.pauli import (
@@ -605,7 +605,7 @@ class TestUnitAxisValidation:
 
     @staticmethod
     def check(vec):
-        return [_require_unit_axis(vec), _require_unit_axis([[0.0, 0.0, 1.0], vec])]
+        return [require_unit_axis(vec), require_unit_axis([[0.0, 0.0, 1.0], vec])]
 
     @pytest.mark.parametrize("scale", [1 - 0.5e-9, 1 + 0.5e-9])
     def test_within_state_tol_is_accepted(self, scale):
@@ -617,7 +617,7 @@ class TestUnitAxisValidation:
     def test_beyond_state_tol_is_refused(self, scale):
         for vec in (scale * self.UNIT, [[0.0, 0.0, 1.0], scale * self.UNIT]):
             with pytest.raises(InvalidBlochError, match=r"^direction(\[1\])? must be unit length"):
-                _require_unit_axis(vec)
+                require_unit_axis(vec)
 
     @pytest.mark.parametrize("bad, text", [
         ((np.nan, 0.0, 0.0), "must be a finite 3-vector, got [nan, 0.0, 0.0]"),
@@ -626,9 +626,9 @@ class TestUnitAxisValidation:
     ], ids=["nan", "inf", "huge"])
     def test_bad_components_keep_their_text(self, bad, text):
         with pytest.raises(InvalidBlochError, match=f"^direction {re.escape(text)}$"):
-            _require_unit_axis(bad)
+            require_unit_axis(bad)
         with pytest.raises(InvalidBlochError, match=f"^direction\\[1\\] {re.escape(text)}$"):
-            _require_unit_axis([[0.0, 0.0, 1.0], bad])
+            require_unit_axis([[0.0, 0.0, 1.0], bad])
 
     #: |m| - 1 is 9.9999986e-10 by `math.hypot` and 1.00000008e-09 by numpy's norm
     HYPOT_UNIT = [[-0.19682335191759404, -0.8230750429647886, 0.5327363736299918],
@@ -649,10 +649,10 @@ class TestUnitAxisValidation:
         vec = [0.3635365680448477, 0.8642994876218058, 0.3476025911739697]
         for form in (vec, [[0.0, 0.0, 1.0], vec]):
             with pytest.raises(InvalidBlochError, match=r"^direction(\[1\])? must be unit length"):
-                _require_unit_axis(form)
+                require_unit_axis(form)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 2, 3)])
     def test_refuses_a_shape_that_is_not_one_or_a_stack(self, shape):
         text = f"direction must be a 3-vector or an (N, 3) stack, got {shape}"
         with pytest.raises(InvalidBlochError, match=f"^{re.escape(text)}$"):
-            _require_unit_axis(np.zeros(shape))
+            require_unit_axis(np.zeros(shape))
