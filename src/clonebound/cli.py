@@ -36,6 +36,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -68,7 +69,7 @@ def _number(text: str) -> float:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
         except OverflowError as exc:  # a fraction past the float range
             raise argparse.ArgumentTypeError(f"beyond the float range: {text!r}") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 

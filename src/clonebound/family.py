@@ -14,7 +14,7 @@ further forces t_zz = t_xx = t_yy.  `ClonerParams` is that constrained
 family, parameterized by (eta, t, t_xy).
 
 The output for a direction m is built in the Pauli frame: with R the
-minimal-geodesic SO(3) rotation taking zhat to m (`bloch_rotation_z_to`),
+minimal-geodesic SO(3) rotation taking zhat to m (`_rotations_z_to`),
 both marginals point along eta*m and the correlation matrix is R t R^T,
 i.e. it co-rotates with the input direction, which is what universality
 means operationally.  Every output is therefore a U (x) U conjugate of
@@ -183,26 +183,16 @@ def _require_one_axis(m, what="direction"):
     return vec
 
 
-def bloch_rotation_z_to(m) -> np.ndarray:
-    """The SO(3) rotation taking zhat to the unit vector m (minimal geodesic).
-
-    Rodrigues' formula about zhat x m, written in the entries of m:
+def _rotations_z_to(axes):
+    """Minimal-geodesic SO(3) rotations taking zhat to validated axes, Rodrigues about zhat x m:
 
         R = [[1 - f m_x^2,  -f m_x m_y,   m_x],
              [-f m_x m_y,   1 - f m_y^2,  m_y],
-             [-m_x,         -m_y,         m_z]],   f = (1 - m_z)/(m_x^2 + m_y^2).
+             [-m_x,         -m_y,         m_z]],   f = (1 - m_z)/(m_x^2 + m_y^2),
 
-    f equals 1/(1 + m_z) for unit m but stays accurate next to -zhat,
-    where 1 + m_z cancels.  As in the SU(2) reference, `tests/reference.py`,
-    m = zhat gives the identity and m = -zhat a half turn about xhat.
-    m of shape (3,) gives one (3, 3) matrix, a stack (N, 3) gives (N, 3, 3).
-    """
-    return _rotations_z_to(require_unit_axis(m))
-
-
-def _rotations_z_to(axes):
-    """`bloch_rotation_z_to` for validated axes: (..., 3) -> (..., 3, 3); N row lists -> (N, 3, 3).
-
+    which is 1/(1 + m_z) for unit m but stays accurate next to -zhat.  As
+    in the SU(2) reference, zhat gives the identity and -zhat a half turn
+    about xhat.  Axes (..., 3) give (..., 3, 3); N row lists (N, 3, 3).
     Row by row in Python floats, in the expressions and order of the
     vectorized body in `tests/reference.py`: each step is one correctly
     rounded IEEE operation, so both agree bit for bit.  A few axes cost
@@ -228,7 +218,7 @@ def output_state(params, m) -> np.ndarray:
     """Family output for direction m with the co-rotating correlation matrix.
 
     (1/4)(I + eta (m.sigma (x) I + I (x) m.sigma)
-          + sum_jk (R t R^T)_jk sigma_j (x) sigma_k),  R = bloch_rotation_z_to(m).
+          + sum_jk (R t R^T)_jk sigma_j (x) sigma_k),  R = _rotations_z_to(m).
 
     m of shape (3,) gives one (4, 4) state, a stack (N, 3) gives
     (N, 4, 4).  The marginals use R zhat, the normalized m.  The Bloch

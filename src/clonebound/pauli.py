@@ -29,8 +29,9 @@ one `tolist()` judged in Python floats.  The upper triangle's max
 only if every entry is finite; numpy names a non-finite one.  A qubit's
 trace and |m| come from the same entries.  Returned arrays are numpy's.
 The private `_half_trace_norm` validates nothing: `trace_distance` calls
-it on the difference of two checked matrices.  The SU(2) rotation and
-Bloch readout that only the tests use live in `tests/reference.py`.
+it on the difference of two checked matrices.  The SU(2) rotation, its
+SO(3) matrix and the Bloch readout, which only the tests use, live in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: the three traceless Paulis in (x, y, z) order, stacked (3, 2, 2)
-SIGMA = np.array((SIGMA_X, SIGMA_Y, SIGMA_Z))
-SIGMA.flags.writeable = False
-
 _PAULI_BY_INDEX = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 #: BASIS[j, k] = sigma_j (x) sigma_k for j, k in 0..3, index 0 the identity
@@ -70,21 +67,10 @@ BASIS.flags.writeable = False
 _UPPER = {n: [(n * j + k, n * k + j) for j in range(n) for k in range(j, n)] for n in (2, 4)}
 
 
-def _as_complex_square(m, dim, what):
+def _require_hermitian(m, dim, what):
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (dim, dim):
         raise InvalidStateError(f"{what} must be {dim}x{dim}, got shape {arr.shape}")
-    return arr
-
-
-def _require_finite(arr, what):
-    if not np.isfinite(arr).all():
-        raise InvalidStateError(f"{what} contains non-finite entries")
-    return arr
-
-
-def _require_hermitian(m, dim, what):
-    arr = _as_complex_square(m, dim, what)
     flat = arr.ravel().tolist()
     res = 0.0
     for jk, kj in _UPPER[dim]:
@@ -94,7 +80,8 @@ def _require_hermitian(m, dim, what):
             res = r
     # a non-finite entry makes its pair's r inf or nan, so a passing res means all are finite
     if not res <= STATE_TOL:
-        _require_finite(arr, what)
+        if not np.isfinite(arr).all():
+            raise InvalidStateError(f"{what} contains non-finite entries")
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
     return arr, flat
 
@@ -258,22 +245,14 @@ def _half_trace_norm(diff):
     return np.abs(np.linalg.eigvalsh(diff)[..., ::-1]).sum(axis=-1) / 2.0
 
 
-def bloch_rotation_matrix(u) -> np.ndarray:
-    """The SO(3) matrix R_jk = Tr(sigma_j U sigma_k U^dag)/2 of a qubit unitary.
-
-    R satisfies U (m . sigma) U^dag = (R m) . sigma.
-    """
-    arr = _require_finite(_as_complex_square(u, 2, "unitary"), "unitary")
-    return np.einsum("jab,bc,kcd,ad->jk", SIGMA, arr, SIGMA, arr.conj()).real / 2.0
-
-
 def random_rotation(seed: int):
     """Haar-random SU(2) element and its Bloch rotation, from a seed.
 
     Four standard normal deviates are normalized into a unit quaternion
     (w, x, y, z) and mapped to U = w I + i(x sigma_x + y sigma_y +
-    z sigma_z); R, quadratic in it, is `bloch_rotation_matrix(U)` within
-    round-off.  Deterministic: the same seed always returns the same pair.
+    z sigma_z); R, quadratic in it, satisfies U (m . sigma) U^dag =
+    (R m) . sigma within round-off.  Deterministic: the same seed always
+    returns the same pair.
     """
     rng = np.random.default_rng(seed)
     quat = rng.standard_normal(4).tolist()

@@ -31,14 +31,15 @@ eigenvalue is below -1e-9 (`pauli.is_positive`, the verdict verify and
 `bounds.feasible` give) are flagged as non-physical and the Monte Carlo
 branch is skipped.
 
-Each public function validates its single axes once and takes one
-rotation stack for +a, -a, +b and -b; the trace distance and the
-Helstrom projector come from the real correlation-sum difference D, and
-the Monte Carlo assembles its four outputs from the same rotations.
+Those two functions validate their single axes once and take one
+rotation stack for +a, -a, +b and -b; the trace distance and the Monte
+Carlo's Helstrom measurement come from the real correlation-sum
+difference D, and its four outputs are assembled from the same rotations.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .bounds import feasible
 from .family import (_assemble, _correlation_part, _opposite_difference, _require_one_axis,
-                     _signal_distance, output_state)
+                     _signal_distance)
 from .pauli import STATE_TOL, bloch_to_density
 
 #: the largest shot count numpy's samplers take (the int64 limit)
@@ -95,20 +96,16 @@ def remote_mixture(axis) -> RemoteEnsemble:
     )
 
 
-def averaged_clone_output(params, axis) -> np.ndarray:
-    """Average cloner output over the two opposite preparations, (1/2) sum_+-.
-
-    Unit trace; the eta terms cancel between +axis and -axis, leaving
-    only the (rotated) correlation part.
-    """
-    vec = _require_one_axis(axis, "measurement axis")
-    plus, minus = output_state(params, np.stack([vec, -vec]))
-    return (plus + minus) / 2.0
-
-
 def _report(params, a, b, difference) -> SignalReport:
     dist = float(_signal_distance(difference))
     return SignalReport(a, b, dist, 0.5 + dist / 4.0, physical=feasible(params))
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _helstrom(difference) -> np.ndarray:
@@ -145,10 +142,12 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     default generator (PCG64) is seeded once; identical (seed, shots)
     reproduce the estimate bit for bit.
 
-    Non-physical parameters (`is_positive` false) return the analytic
-    report with `physical` False and no Monte-Carlo fields.
+    `shots` and `seed` are integers (`operator.index`); a float is
+    refused, not truncated.  Non-physical parameters (`is_positive`
+    false) return the analytic report with `physical` False and no
+    Monte-Carlo fields.
     """
-    shots = int(shots)
+    shots, seed = _integer("shots", shots), _integer("seed", seed)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     a = _require_one_axis(axis_a, "axis_a")
@@ -156,28 +155,14 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     difference, rotations = _opposite_difference(params, a, b)
     report = _report(params, a, b, difference)
     if not report.physical:
-        return replace(report, seed=int(seed))
+        return replace(report, seed=seed)
     # probability of outcome Pi for each preparation 2 * axis + sign,
     # axis 0 = a and sign 0 = +; Bob is right on Pi for a, otherwise for b
     outputs = _assemble(params, rotations)
     outcome_pi = np.clip(
         np.trace(_helstrom(_correlation_part(difference)) @ outputs, axis1=-2, axis2=-1).real,
         0.0, 1.0)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     prepared = rng.multinomial(shots, [0.25] * 4)
     correct = rng.binomial(prepared, np.concatenate([outcome_pi[:2], 1.0 - outcome_pi[2:]]))
-    return replace(report, mc_estimate=int(correct.sum()) / shots, mc_shots=shots,
-                   seed=int(seed))
-
-
-def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:
-    """Projector onto the positive eigenspace of the averaged-output difference.
-
-    This is the measurement an optimal single-shot discriminator
-    applies to the clone pair; exposed for demos and tests.  Only
-    eigenvalues above `STATE_TOL` count as positive, so a point that
-    does not signal gets the zero projector.
-    """
-    a = _require_one_axis(axis_a, "axis_a")
-    b = _require_one_axis(axis_b, "axis_b")
-    return _helstrom(_correlation_part(_opposite_difference(params, a, b)[0]))
+    return replace(report, mc_estimate=int(correct.sum()) / shots, mc_shots=shots, seed=seed)

@@ -1,11 +1,17 @@
-"""Test-only references for the family output and the sweep, and the tests' random draws.
+"""Test-only references for the family output, the game and the sweep, and the tests' draws.
 
 The package builds every output in the Pauli frame, rotating the
 correlation matrix in SO(3).  The functions here build the same states
 the other way and share no code with it: the z-frame state of Buzek &
-Hillery (PRA 54, 1844, 1996) written out entry by entry, conjugated by
-U (x) U with U the minimal-geodesic SU(2) element taking zhat to m.
-Those SU(2) functions use numpy and this module's Pauli matrices only.
+Hillery (PRA 54, 1844, 1996) written out entry by entry, or
+`template_z` for either parameter type, conjugated by U (x) U with U
+the minimal-geodesic SU(2) element taking zhat to m.  Those SU(2)
+functions use numpy and this module's Pauli matrices only, and so do
+the references built on them: `averaged_clone_output`, the state Bob
+holds once Alice measures along an axis; `helstrom_projector`, Bob's
+best measurement (Helstrom 1976) from `eigh` of two such states'
+difference; and `bloch_rotation_matrix`, the SO(3) matrix
+R_jk = Tr(sigma_j U sigma_k U^dag)/2 of a qubit unitary.
 `sweep_output` builds the `clone-bound sweep` bytes one grid point at a
 time, as one string.  `rotations_z_to` is the package's SO(3) Rodrigues
 body as numpy array operations over a whole stack, the oracle its
@@ -114,8 +120,36 @@ def rotate_output(rho_z, m) -> np.ndarray:
     return w @ np.asarray(rho_z, dtype=complex) @ w.conj().T
 
 
+def bloch_rotation_matrix(u) -> np.ndarray:
+    """R_jk = Tr(sigma_j U sigma_k U^dag)/2, so that U (m . sigma) U^dag = (R m) . sigma."""
+    u = np.asarray(u, dtype=complex)
+    return np.array([[np.trace(sj @ u @ sk @ u.conj().T).real for sk in SIGMA]
+                     for sj in SIGMA]) / 2.0
+
+
 #: sigma_j (x) sigma_k for j, k in x, y, z
 _SIGMA_PAIRS = np.array([[np.kron(sj, sk) for sk in SIGMA] for sj in SIGMA])
+
+
+def template_z(params) -> np.ndarray:
+    """The z-frame output (1/4)(I + eta (Z(x)I + I(x)Z) + sum_jk t_jk sigma_j(x)sigma_k)."""
+    z_pair = np.kron(SIGMA[2], IDENTITY) + np.kron(IDENTITY, SIGMA[2])
+    return (np.eye(4) + params.eta * z_pair
+            + np.einsum("jk,jkab->ab", params.as_matrix(), _SIGMA_PAIRS)) / 4.0
+
+
+def averaged_clone_output(params, axis) -> np.ndarray:
+    """Mean of the SU(2) outputs at +axis and -axis: Bob's pair after Alice measures along axis."""
+    rho_z, vec = template_z(params), np.asarray(axis, dtype=float)
+    return (rotate_output(rho_z, vec) + rotate_output(rho_z, -vec)) / 2.0
+
+
+def helstrom_projector(params, axis_a, axis_b) -> np.ndarray:
+    """Projector onto the eigenspace of averaged(a) - averaged(b) above STATE_TOL, or 0."""
+    diff = averaged_clone_output(params, axis_a) - averaged_clone_output(params, axis_b)
+    eigvals, eigvecs = np.linalg.eigh(diff)
+    plus = eigvecs[:, eigvals > STATE_TOL]
+    return plus @ plus.conj().T
 
 
 def no_signaling_residual_svd(params, axis_a, axis_b) -> float:
@@ -129,9 +163,7 @@ def no_signaling_residual_svd(params, axis_a, axis_b) -> float:
     2 max(s1 + s2 + s3, 2 s1) for either sign, so the trace distance
     (1/2) sum |eig(Delta)| is max(s1 + s2 + s3, 2 s1) / 4.
     """
-    z_pair = np.kron(SIGMA[2], IDENTITY) + np.kron(IDENTITY, SIGMA[2])
-    rho_z = (np.eye(4) + params.eta * z_pair
-             + np.einsum("jk,jkab->ab", params.as_matrix(), _SIGMA_PAIRS)) / 4.0
+    rho_z = template_z(params)
     a, b = np.asarray(axis_a, dtype=float), np.asarray(axis_b, dtype=float)
     delta = (rotate_output(rho_z, a) + rotate_output(rho_z, -a)
              - rotate_output(rho_z, b) - rotate_output(rho_z, -b))
@@ -145,7 +177,7 @@ _HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
 
 
 def rotations_z_to(axes):
-    """`family.bloch_rotation_z_to` for validated axes, vectorized: (..., 3) -> (..., 3, 3)."""
+    """`family._rotations_z_to` as array operations: (..., 3) -> (..., 3, 3)."""
     x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
     unit = axes / np.sqrt(x * x + y * y + z * z)[..., None]
     x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]

@@ -33,12 +33,8 @@ from clonebound.pauli import (
     random_rotation,
     tensor,
 )
-from clonebound.signaling import (
-    averaged_clone_output,
-    helstrom_projector,
-    monte_carlo_signal,
-)
-from reference import output_state_z, rotate_output
+from clonebound.signaling import monte_carlo_signal
+from reference import averaged_clone_output, helstrom_projector, output_state_z, rotate_output
 
 OPTIMUM = ClonerParams(eta=2 / 3, t=1 / 3, t_xy=0.0)
 

@@ -22,8 +22,7 @@ from clonebound.bounds import MAX_RESOLUTION, feasible, max_eta_closed_form
 from clonebound.family import ClonerParams, GeneralClonerParams, check_point
 from clonebound.pauli import STATE_TOL, is_positive
 from clonebound.serialize import Table, dump_json, format_floats
-from clonebound.signaling import averaged_clone_output, helstrom_projector
-from reference import sweep_output
+from reference import averaged_clone_output, helstrom_projector, sweep_output
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

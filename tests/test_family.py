@@ -14,7 +14,6 @@ from clonebound.family import (
     _opposite_difference,
     _rotations_z_to,
     axial_covariance_residual,
-    bloch_rotation_z_to,
     clone_fidelity,
     covariance_constraint_residual,
     no_signaling_residual,
@@ -24,15 +23,15 @@ from clonebound.family import (
     template_state_z,
 )
 from clonebound.pauli import (
-    SIGMA,
     SIGMA_X,
-    bloch_rotation_matrix,
     hermitian_eigenvalues4,
     partial_trace,
     pauli_decompose,
     tensor,
 )
 from reference import (
+    SIGMA,
+    bloch_rotation_matrix,
     density_to_bloch,
     no_signaling_residual_svd,
     output_state_z,
@@ -52,6 +51,11 @@ EDGE_AXES = {
     # |m + z| ~ 5e-9, just above the cutoff where -z is special-cased
     "nearer_minus_z": np.array([3e-9, 4e-9, -1.0]) / np.linalg.norm([3e-9, 4e-9, -1.0]),
 }
+
+
+def package_rotations(m):
+    """`family._rotations_z_to` on axes validated the way every public caller validates them."""
+    return _rotations_z_to(require_unit_axis(m))
 
 
 class TestParamTypes:
@@ -203,13 +207,13 @@ class TestOutputStates:
 class TestRotation:
     def test_z_to_z_is_identity(self):
         np.testing.assert_allclose(rotation_taking_z_to((0, 0, 1)), np.eye(2))
-        np.testing.assert_array_equal(bloch_rotation_z_to((0, 0, 1)), np.eye(3))
+        np.testing.assert_array_equal(package_rotations((0, 0, 1)), np.eye(3))
 
     def test_z_to_minus_z_is_pi_about_x(self):
         u = rotation_taking_z_to((0, 0, -1))
         np.testing.assert_allclose(u, -1j * SIGMA_X, atol=1e-15)
         np.testing.assert_array_equal(
-            bloch_rotation_z_to((0, 0, -1)), np.diag([1.0, -1.0, -1.0])
+            package_rotations((0, 0, -1)), np.diag([1.0, -1.0, -1.0])
         )
 
     @pytest.mark.parametrize("seed", [*range(20), *EDGE_AXES])
@@ -218,7 +222,7 @@ class TestRotation:
             m = EDGE_AXES[seed]
         else:
             m = random_axis(np.random.default_rng(seed))
-        rot = bloch_rotation_z_to(m)
+        rot = package_rotations(m)
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-14)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(rot @ [0, 0, 1], m, atol=1e-15)
@@ -249,9 +253,9 @@ class TestRotation:
             "off_unit": unit[:2000] * (1.0 + rng.choice([-5e-10, 5e-10], 2000))[:, None],
         }
         for axes in cases.values():
-            self.assert_same_bits(bloch_rotation_z_to(axes), rotations_z_to(axes))
+            self.assert_same_bits(package_rotations(axes), rotations_z_to(axes))
             for m in axes[:50]:
-                self.assert_same_bits(bloch_rotation_z_to(m), rotations_z_to(m))
+                self.assert_same_bits(package_rotations(m), rotations_z_to(m))
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 5, 3), (0, 3), (4, 0, 3)])
     def test_shape_contract(self, shape):
@@ -487,10 +491,10 @@ class TestStackedAxes:
 
     def test_rows_are_the_per_axis_calls_bit_for_bit(self):
         axes = self.axes(70)
-        rots = bloch_rotation_z_to(axes)
+        rots = package_rotations(axes)
         assert rots.shape == (len(axes), 3, 3)
         for m, rot in zip(axes, rots):
-            np.testing.assert_array_equal(rot, bloch_rotation_z_to(m))
+            np.testing.assert_array_equal(rot, package_rotations(m))
         t = np.random.default_rng(71).uniform(-1.0, 1.0, size=(3, 3))
         for p in (ClonerParams(0.3, -0.2, 0.4), GeneralClonerParams(eta=-0.5, t=t)):
             states = output_state(p, axes)

@@ -15,7 +15,6 @@ from clonebound.pauli import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_rotation_matrix,
     bloch_to_density,
     hermitian_eigenvalues4,
     is_positive,
@@ -27,7 +26,7 @@ from clonebound.pauli import (
     tensor,
     trace_distance,
 )
-from reference import density_to_bloch, su2_rotation
+from reference import bloch_rotation_matrix, density_to_bloch, su2_rotation
 
 SINGLET = np.zeros((4, 4), dtype=complex)
 SINGLET[1, 1] = SINGLET[2, 2] = 0.5

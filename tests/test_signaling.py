@@ -7,15 +7,14 @@ from clonebound import family, signaling
 from clonebound.errors import InvalidBlochError
 from clonebound.family import ClonerParams, GeneralClonerParams
 from clonebound.pauli import SIGMA_X, SIGMA_Z, partial_trace, tensor
-from clonebound.signaling import (
+from clonebound.signaling import monte_carlo_signal, remote_mixture, signaling_advantage, singlet
+from reference import (
     averaged_clone_output,
+    density_to_bloch,
     helstrom_projector,
-    monte_carlo_signal,
-    remote_mixture,
-    signaling_advantage,
-    singlet,
+    random_axis,
+    random_params,
 )
-from reference import density_to_bloch, random_axis, random_params
 
 Z = (0, 0, 1)
 X = (1, 0, 0)
@@ -26,13 +25,26 @@ VIOLATOR = GeneralClonerParams(eta=0.0, t=np.diag([0.0, 0.0, 1 / 3]))
 
 
 def projector_rate(params, axis_a, axis_b):
-    """Success rate 1/2 + (1/2) Tr(Pi (rho_a - rho_b)) of the Helstrom measurement."""
+    """The reference's success rate 1/2 + (1/2) Tr(Pi (rho_a - rho_b)) of Helstrom's measurement."""
     diff = averaged_clone_output(params, axis_a) - averaged_clone_output(params, axis_b)
     return 0.5 + 0.5 * np.trace(helstrom_projector(params, axis_a, axis_b) @ diff).real
 
 
 #: the violator's rate: 1/2 + (1/2)(1/6), the positive mass of the averaged difference
 VIOLATOR_RATE = projector_rate(VIOLATOR, Z, X)
+
+
+def averaged_output(params, axis):
+    """The package's mean output over +axis and -axis, from one stacked `output_state` call."""
+    plus, minus = family.output_state(params, np.stack([axis, np.negative(axis)]))
+    return (plus + minus) / 2.0
+
+
+def package_projector(params, axis_a, axis_b):
+    """`monte_carlo_signal`'s Helstrom projector Pi, from the opposite-sum difference D."""
+    a, b = np.asarray(axis_a, dtype=float), np.asarray(axis_b, dtype=float)
+    difference = family._opposite_difference(params, a, b)[0]
+    return signaling._helstrom(family._correlation_part(difference))
 
 
 class TestSinglet:
@@ -76,11 +88,11 @@ class TestRemoteMixture:
 class TestAveragedOutput:
     def test_family_output_is_axis_independent(self):
         p = ClonerParams(eta=2 / 3, t=1 / 3, t_xy=0.0)
-        ref = averaged_clone_output(p, Z)
+        ref = averaged_output(p, Z)
         rng = np.random.default_rng(4)
         for _ in range(20):
             np.testing.assert_allclose(
-                averaged_clone_output(p, random_axis(rng)), ref, atol=1e-12
+                averaged_output(p, random_axis(rng)), ref, atol=1e-12
             )
 
     def test_is_the_mean_of_both_outputs(self):
@@ -88,11 +100,15 @@ class TestAveragedOutput:
         axis = [-0.19682335191759404, -0.8230750429647886, 0.5327363736299918]
         plus = family.output_state(VIOLATOR, axis)
         minus = family.output_state(VIOLATOR, -np.array(axis))
-        np.testing.assert_array_equal(averaged_clone_output(VIOLATOR, axis), (plus + minus) / 2.0)
+        np.testing.assert_array_equal(averaged_output(VIOLATOR, axis), (plus + minus) / 2.0)
+        # the package builds the outputs on the normalized axis
+        unit = np.array(axis) / np.linalg.norm(axis)
+        np.testing.assert_allclose(averaged_output(VIOLATOR, axis),
+                                   averaged_clone_output(VIOLATOR, unit), rtol=0.0, atol=1e-15)
 
     def test_violator_output_follows_axis(self):
-        at_z = averaged_clone_output(VIOLATOR, Z)
-        at_x = averaged_clone_output(VIOLATOR, X)
+        at_z = averaged_output(VIOLATOR, Z)
+        at_x = averaged_output(VIOLATOR, X)
         np.testing.assert_allclose(
             at_z, (np.eye(4) + tensor(SIGMA_Z, SIGMA_Z) / 3) / 4, atol=1e-15
         )
@@ -102,7 +118,7 @@ class TestAveragedOutput:
 
     def test_eta_cancels_in_the_average(self):
         p = ClonerParams(eta=0.9, t=0.0, t_xy=0.0)
-        state = averaged_clone_output(p, Z)
+        state = averaged_output(p, Z)
         np.testing.assert_allclose(
             density_to_bloch(partial_trace(state, 1)), [0, 0, 0], atol=1e-15
         )
@@ -158,9 +174,8 @@ class TestSignalingAdvantage:
 
     @pytest.mark.parametrize("call", [
         signaling_advantage,
-        helstrom_projector,
         lambda params, a, b: monte_carlo_signal(params, a, b, shots=10, seed=1),
-    ], ids=["signaling_advantage", "helstrom_projector", "monte_carlo_signal"])
+    ], ids=["signaling_advantage", "monte_carlo_signal"])
     def test_takes_one_axis_per_argument(self, call):
         with pytest.raises(InvalidBlochError, match="axis_b"):
             call(VIOLATOR, Z, np.array([X, Z], dtype=float))
@@ -278,21 +293,40 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_signal(VIOLATOR, Z, X, shots=2**63, seed=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("shots", 2.7), ("shots", 100.0), ("shots", np.float64(100.0)),
+        ("seed", 3.9), ("seed", 3.0), ("seed", "3"),
+    ], ids=["shots-2.7", "shots-100.0", "shots-float64", "seed-3.9", "seed-3.0", "seed-str"])
+    def test_refuses_non_integers(self, name, value):
+        # a float was truncated: shots=2.7 played 2 rounds, seed=3.9 ran seed 3
+        args = {"shots": 100, "seed": 3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            monte_carlo_signal(VIOLATOR, Z, X, **args)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            monte_carlo_signal(ClonerParams(0.8, 1 / 3, 0.0), Z, X, **args)
+
+    def test_numpy_integers_pass(self):
+        rep = monte_carlo_signal(VIOLATOR, Z, X, shots=np.int64(100), seed=np.int64(3))
+        same = monte_carlo_signal(VIOLATOR, Z, X, shots=100, seed=3)
+        assert (rep.mc_estimate, rep.mc_shots, rep.seed) == (same.mc_estimate, 100, 3)
+        assert type(rep.mc_shots) is int and type(rep.seed) is int
+
 
 class TestHelstromProjector:
     def test_projector_properties(self):
-        p = helstrom_projector(VIOLATOR, Z, X)
+        p = package_projector(VIOLATOR, Z, X)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-15)
         np.testing.assert_allclose(p @ p, p, atol=1e-14)
+        np.testing.assert_allclose(p, helstrom_projector(VIOLATOR, Z, X), atol=1e-14)
 
     def test_captures_positive_part(self):
-        p = helstrom_projector(VIOLATOR, Z, X)
+        p = package_projector(VIOLATOR, Z, X)
         diff = averaged_clone_output(VIOLATOR, Z) - averaged_clone_output(VIOLATOR, X)
         # positive eigenvalue mass of the averaged difference is 1/6
         assert np.trace(p @ diff).real == pytest.approx(1 / 6, abs=1e-12)
 
     def test_vanishes_when_axes_agree(self):
-        p = helstrom_projector(VIOLATOR, Z, Z)
+        p = package_projector(VIOLATOR, Z, Z)
         np.testing.assert_allclose(p, np.zeros((4, 4)), atol=1e-15)
 
     def test_family_points_get_no_projector(self):
@@ -304,7 +338,7 @@ class TestHelstromProjector:
         rng = np.random.default_rng(17)
         cases += [(random_params(rng), random_axis(rng), random_axis(rng)) for _ in range(200)]
         for params, a, b in cases:
-            np.testing.assert_array_equal(helstrom_projector(params, a, b), np.zeros((4, 4)))
+            np.testing.assert_array_equal(package_projector(params, a, b), np.zeros((4, 4)))
 
     def test_round_off_noise_leaves_the_projector(self):
         rng = np.random.default_rng(18)
@@ -325,14 +359,10 @@ class TestOneRotationStack:
     """
 
     @pytest.mark.parametrize("call, shape", [
-        (lambda: family.bloch_rotation_z_to(Z), (3,)),
         (lambda: family.output_state(VIOLATOR, X), (1, 3)),
         (lambda: family.no_signaling_residual(VIOLATOR, Z, X), (4, 3)),
         (lambda: signaling_advantage(VIOLATOR, Z, X), (4, 3)),
-        (lambda: helstrom_projector(VIOLATOR, Z, X), (4, 3)),
-        (lambda: averaged_clone_output(VIOLATOR, X), (2, 3)),
-    ], ids=["bloch_rotation_z_to", "output_state", "no_signaling_residual",
-            "signaling_advantage", "helstrom_projector", "averaged_clone_output"])
+    ], ids=["output_state", "no_signaling_residual", "signaling_advantage"])
     def test_one_call_per_public_function(self, monkeypatch, call, shape):
         rotated = []
         rotate = family._rotations_z_to
