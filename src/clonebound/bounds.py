@@ -7,9 +7,10 @@ Two independent routes to the same number:
   central block demands 1 - t - 2 sqrt(t^2 + t_xy^2) >= 0, and the
   ceiling is maximized on that feasible set at t_xy = 0, t = 1/3.
 * `max_eta_grid` knows none of that except the eta ceiling itself: it
-  reads the four levels off the z-frame matrix layout and walks t down
-  from +1 to the first grid row whose deciding cells, those of smallest
-  |t_xy|, pass the package's one positivity verdict (`pauli.is_positive`).
+  takes the four levels from `family`'s two level pairs, the spectrum
+  `verify` and `sweep` judge, and walks t down from +1 to the first
+  grid row whose deciding cells, those of smallest |t_xy|, pass the
+  package's one positivity verdict (`pauli.is_positive`).
   The ceiling grows with t, so that row holds the largest feasible eta
   on the whole (t, t_xy) grid; why those cells decide a row is told in
   its docstring.  Memory stays O(resolution).
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidResolutionError
-from .family import min_output_eigenvalue
+from .family import _central_levels, _outer_levels, min_output_eigenvalue
 from .pauli import is_positive
 
 #: the largest grid resolution accepted anywhere: one axis of it is 0.8 MB
@@ -75,38 +76,22 @@ def max_eta_closed_form() -> BoundResult:
     )
 
 
-def _row_levels(eta, t):
-    """The output levels fixed by the row: the outer pair d0, d3 and the block diagonal.
-
-    With `_central_levels`, the eigenvalues read off the z-frame matrix
-    layout (two diagonal entries plus a 2x2 Hermitian block), not off
-    the closed form, so the grid stays an independent check on it.
-    """
-    return (1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0, (1.0 - t) / 4.0
-
-
-def _central_levels(block_diag, entry):
-    """The block's levels block_diag +- |entry|/4; entry = 2t + 2i t_xy."""
-    half_gap = np.abs(entry) * 0.25  # exact, so equal to / 4.0
-    return block_diag + half_gap, block_diag - half_gap
-
-
 def max_eta_grid(resolution: int) -> BoundResult:
     """Brute-force scan of (t, t_xy) in [-1, 1]^2, judged on the cells that decide each row.
 
     For each grid pair the candidate eta is its ceiling (1 + t)/2; the
-    pair survives if all four matrix eigenvalues at that eta pass
-    `is_positive` (>= -1e-9).  In a row of fixed t only the block's
-    lower level moves with t_xy, and it falls as |2t + 2i t_xy| grows,
-    so the row has a survivor iff its cells of smallest |t_xy| (an
-    exact-magnitude pair both kept) survive.  That assumes numpy's
-    complex `abs` is monotone in |imag| at a fixed real part, which the
-    tests check on the full plane.  The ceiling grows strictly with t,
-    so the first surviving row down from +1 holds the largest eta on
-    the grid, and its deciding cell is the tie-break's pick among the
-    row's survivors: smallest |t_xy|, negative side first, tracking the
-    true t_xy = 0 maximizer.  `resolution` must be an integer
-    (`operator.index`).
+    pair survives if all four levels at that eta, `family._outer_levels`
+    and `family._central_levels`, pass `is_positive` (>= -1e-9).  In a
+    row of fixed t only the central lower level moves with t_xy, and it
+    falls as hypot(t, t_xy) grows, so the row has a survivor iff its
+    cells of smallest |t_xy| (an exact-magnitude pair both kept)
+    survive.  That assumes numpy's `hypot` is monotone in |t_xy| at a
+    fixed t, which the tests check on the full plane.  The ceiling
+    grows strictly with t, so the first surviving row down from +1
+    holds the largest eta on the grid, and its deciding cell is the
+    tie-break's pick among the row's survivors: smallest |t_xy|,
+    negative side first, tracking the true t_xy = 0 maximizer.
+    `resolution` must be an integer (`operator.index`).
     """
     try:
         resolution = operator.index(resolution)
@@ -121,12 +106,8 @@ def max_eta_grid(resolution: int) -> BoundResult:
     columns = axis[size == size.min()]  # every exact tie, the negative side first
     del size
     t = axis[::-1, None]
-    d0, d3, block_diag = _row_levels((1.0 + t) / 2.0, t)
-    ok = is_positive(d0) & is_positive(d3)
-    del d0, d3  # only their verdict is kept
-    entry = np.empty((resolution, len(columns)), dtype=complex)
-    entry.real, entry.imag = 2.0 * t, 2.0 * columns
-    for level in _central_levels(block_diag, entry):
+    ok = np.logical_and(*map(is_positive, _outer_levels((1.0 + t) / 2.0, t)))
+    for level in _central_levels(t, columns):
         ok = ok & is_positive(level)
     hits = ok.any(axis=1)
     row = hits.argmax()  # the first, at the largest t

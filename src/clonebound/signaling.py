@@ -143,11 +143,13 @@ def monte_carlo_signal(params, axis_a, axis_b, shots: int, seed: int) -> SignalR
     reproduce the estimate bit for bit.
 
     `shots` and `seed` are integers (`operator.index`); a float is
-    refused, not truncated.  Non-physical parameters (`is_positive`
-    false) return the analytic report with `physical` False and no
-    Monte-Carlo fields.
+    refused, not truncated, and so is a negative `seed`.  Non-physical
+    parameters (`is_positive` false) return the analytic report with
+    `physical` False and no Monte-Carlo fields.
     """
     shots, seed = _integer("shots", shots), _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     a = _require_one_axis(axis_a, "axis_a")

@@ -19,14 +19,18 @@ per-row Python float body must match bit for bit.
 `no_signaling_residual_svd` takes the no-signaling distance from the
 SU(2) outputs and a singular value decomposition, not a 4x4 spectrum.
 `row_walk_grid` is `bounds.max_eta_grid` judged on every cell, a row at
-a time, from the same matrix-layout levels.
+a time, from this module's own matrix-layout levels, which `src/` does
+not share: `layout_row_levels` and `layout_central_levels` read the
+spectrum off the z-frame matrix (two diagonal entries and a 2x2 block,
+its magnitude by complex `abs`), where the grid takes `family`'s
+closed-form pairs (`hypot`).
 """
 
 import math
 
 import numpy as np
 
-from clonebound.bounds import BoundResult, _central_levels, _row_levels
+from clonebound.bounds import BoundResult
 from clonebound.family import ClonerParams, positivity_eigenvalues
 from clonebound.pauli import STATE_TOL, _require_one_qubit_state, is_positive
 from clonebound.serialize import csv_lines, dump_json
@@ -222,21 +226,38 @@ def sweep_output(resolution, fmt):
     return "\n".join(csv_lines(SWEEP_HEADER, rows)) + "\n"
 
 
+def layout_row_levels(eta, t):
+    """The output levels fixed by the row: the outer pair d0, d3 and the block diagonal.
+
+    With `layout_central_levels`, the eigenvalues read off the z-frame
+    matrix layout (two diagonal entries plus a 2x2 Hermitian block), not
+    off the closed form, so the grid references stay an independent
+    check on it.
+    """
+    return (1.0 + 2.0 * eta + t) / 4.0, (1.0 - 2.0 * eta + t) / 4.0, (1.0 - t) / 4.0
+
+
+def layout_central_levels(block_diag, entry):
+    """The block's levels block_diag +- |entry|/4; entry = 2t + 2i t_xy."""
+    half_gap = np.abs(entry) * 0.25  # exact, so equal to / 4.0
+    return block_diag + half_gap, block_diag - half_gap
+
+
 def row_walk_grid(resolution):
     """`max_eta_grid` on every cell: a row at a time down from t = +1, O(resolution) memory.
 
     Each row judges all four levels of every t_xy and the walk stops at
     the first row with a survivor, picking the smallest |t_xy|, negative
     side first.  Unlike the library it assumes nothing about which cells
-    decide a row.
+    decide a row, and it takes the levels from the matrix layout.
     """
     axis = np.linspace(-1.0, 1.0, resolution)
     entry = np.empty(resolution, dtype=complex)
     entry.imag = 2.0 * axis
     for t in axis[::-1]:
-        d0, d3, block_diag = _row_levels((1.0 + t) / 2.0, t)
+        d0, d3, block_diag = layout_row_levels((1.0 + t) / 2.0, t)
         entry.real = 2.0 * t
-        upper, lower = _central_levels(block_diag, entry)
+        upper, lower = layout_central_levels(block_diag, entry)
         ok = is_positive(d0) & is_positive(d3) & is_positive(upper) & is_positive(lower)
         if ok.any():
             t_xy = axis[ok]

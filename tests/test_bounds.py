@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from clonebound import bounds, landscape
-from clonebound.bounds import (
-    BoundResult,
-    _central_levels,
-    _row_levels,
-    feasible,
-    max_eta_closed_form,
-    max_eta_grid,
-)
+from clonebound.bounds import BoundResult, feasible, max_eta_closed_form, max_eta_grid
 from clonebound.errors import InvalidResolutionError
-from clonebound.family import ClonerParams
+from clonebound.family import ClonerParams, _central_levels, _outer_levels
 from clonebound.pauli import is_positive
 from clonebound.serialize import Table
-from reference import row_walk_grid
+from reference import layout_central_levels, layout_row_levels, row_walk_grid
 
 
 def grid_peak_bytes(resolution):
@@ -37,19 +30,38 @@ PLANE_RESOLUTIONS = [*range(3, 121), 127, 128, 129, 201, 400, 401]
 
 def layout_verdict(eta, t, t_xy):
     """Every cell's verdict on its four matrix-layout levels, broadcast over the inputs."""
-    d0, d3, block_diag = _row_levels(eta, t)
+    d0, d3, block_diag = layout_row_levels(eta, t)
     ok = is_positive(d0) & is_positive(d3)
-    for lam in _central_levels(block_diag, 2.0 * t + 2.0j * t_xy):
+    for lam in layout_central_levels(block_diag, 2.0 * t + 2.0j * t_xy):
         ok = ok & is_positive(lam)
     return ok
 
 
-def full_plane(resolution):
+def family_verdict(eta, t, t_xy):
+    """Every cell's verdict on `family`'s four closed-form levels, the ones the grid judges."""
+    ok = np.logical_and(*map(is_positive, _outer_levels(eta, t)))
+    for lam in _central_levels(t, t_xy):
+        ok = ok & is_positive(lam)
+    return ok
+
+
+def full_plane(resolution, verdict=layout_verdict):
     """The axis, the eta ceiling and every cell's verdict, t along rows."""
     axis = np.linspace(-1.0, 1.0, resolution)
     t, t_xy = np.meshgrid(axis, axis, indexing="ij")
     eta = (1.0 + t) / 2.0
-    return axis, eta, layout_verdict(eta, t, t_xy)
+    return axis, eta, verdict(eta, t, t_xy)
+
+
+def assert_deciding_columns_decide_each_row(verdict):
+    """A row has a survivor iff a column of smallest |t_xy| survives, and then every such column does."""
+    for resolution in PLANE_RESOLUTIONS:
+        axis, _, ok = full_plane(resolution, verdict)
+        size = np.abs(axis)
+        deciding = ok[:, size == size.min()]
+        assert 1 <= deciding.shape[1] <= 2
+        assert (ok.any(axis=1) == deciding.any(axis=1)).all()
+        assert deciding[ok.any(axis=1)].all()
 
 
 def full_plane_grid(resolution):
@@ -185,16 +197,14 @@ class TestGrid:
             assert repr(max_eta_grid(resolution)) == repr(full_plane_grid(resolution))
 
     def test_deciding_columns_decide_each_row(self):
-        # the fact the scan rests on, cell by cell: a row has a survivor iff
-        # a column of smallest |t_xy| survives, and then every such column
-        # does; it needs complex abs to be monotone in |imag|
-        for resolution in PLANE_RESOLUTIONS:
-            axis, _, ok = full_plane(resolution)
-            size = np.abs(axis)
-            deciding = ok[:, size == size.min()]
-            assert 1 <= deciding.shape[1] <= 2
-            assert (ok.any(axis=1) == deciding.any(axis=1)).all()
-            assert deciding[ok.any(axis=1)].all()
+        # the layout verdict, which the references judge on: it needs
+        # complex abs to be monotone in |imag|
+        assert_deciding_columns_decide_each_row(layout_verdict)
+
+    def test_deciding_columns_decide_each_row_on_family_levels(self):
+        # the fact the scan rests on, cell by cell, on the levels it judges:
+        # it needs np.hypot to be monotone in |t_xy| at a fixed t
+        assert_deciding_columns_decide_each_row(family_verdict)
 
     def test_row_walk_matches_full_plane(self):
         # the every-cell row walk that pins the large R below is itself exact
@@ -208,7 +218,7 @@ class TestGrid:
     @pytest.mark.parametrize("resolution", [*range(3, 34), 64])
     def test_sweep_flags_match_the_layout_verdict(self, resolution):
         # two routes to one verdict on every (eta, t, t_xy) cell: the sweep's
-        # flag from `family`'s levels and the grid's from the matrix layout
+        # flag from `family`'s levels and the tests' own from the matrix layout
         table = Table("csv", landscape.SWEEP_HEADER, {"command": "sweep"})
         lines = "".join(table.chunks(landscape.sweep_blocks(table, resolution))).splitlines()
         flags = np.array([line.split(",")[7] for line in lines[1:]]) == "1"
@@ -219,7 +229,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("calls", [1, 3, 7])
     def test_row_levels_once_per_call(self, monkeypatch, calls):
-        # each of `calls` calls in a row works out the row levels over the
+        # each of `calls` calls in a row works out the outer levels over the
         # whole t axis once and the deciding columns' central levels once
         counts = collections.Counter()
 
@@ -229,11 +239,11 @@ class TestGrid:
                 return part(*args)
             return spy
 
-        monkeypatch.setattr(bounds, "_row_levels", counted(_row_levels))
+        monkeypatch.setattr(bounds, "_outer_levels", counted(_outer_levels))
         monkeypatch.setattr(bounds, "_central_levels", counted(_central_levels))
         for n in range(1, calls + 1):
             max_eta_grid(41 if n % 2 else 100)
-            assert counts["_row_levels"] == counts["_central_levels"] == n
+            assert counts["_outer_levels"] == counts["_central_levels"] == n
 
     def test_memory_is_one_row(self):
         # the whole 1001 x 1001 plane would need ~69 MiB
@@ -244,7 +254,7 @@ class TestGrid:
         assert grid_peak_bytes(2001) < 2 ** 20
 
     def test_memory_at_the_largest_resolution(self):
-        # the whole axis and a few columns of it, ~5.4 MiB
+        # the whole axis and a few columns of it, ~3.8 MiB
         assert grid_peak_bytes(bounds.MAX_RESOLUTION) < 6 * 2 ** 20
 
     def test_block_never_outgrows_the_plane(self):

@@ -305,6 +305,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             monte_carlo_signal(ClonerParams(0.8, 1 / 3, 0.0), Z, X, **args)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_refuses_a_negative_seed(self, seed):
+        # refused with seed named on both paths: before numpy's generator,
+        # and before the non-physical early return, which would report it
+        for params in (VIOLATOR, ClonerParams(0.8, 1 / 3, 0.0)):
+            with pytest.raises(ValueError, match="^seed must be non-negative, got -"):
+                monte_carlo_signal(params, Z, X, shots=100, seed=seed)
+
     def test_numpy_integers_pass(self):
         rep = monte_carlo_signal(VIOLATOR, Z, X, shots=np.int64(100), seed=np.int64(3))
         same = monte_carlo_signal(VIOLATOR, Z, X, shots=100, seed=3)
